@@ -35,7 +35,7 @@ from .data import (
     write_manifest,
 )
 from .decode import DecodeConfig, decode_image, greedy_decode
-from .errors import ConfigError, DataError, TrainingError, UsageError
+from .errors import ConfigError, ConfigSection, DataError, TrainingError, UsageError
 from .lattice import (
     alignment_log_prob,
     enumerate_alignments,
@@ -68,19 +68,17 @@ def default_model_config() -> ModelConfig:
 
 
 @dataclass
-class RunPaths:
+class RunPaths(ConfigSection):
+    section = "paths"
     manifest: str | None = None
     val_manifest: str | None = None
     charset: str | None = None
     checkpoint: str | None = None
     out_dir: str | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunPaths":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown paths keys: {sorted(unknown)}")
-        return cls(**d)
+    def validate(self) -> None:
+        if not all(v is None or isinstance(v, str) for v in self.to_dict().values()):
+            raise ConfigError("every paths entry must be a string or null")
 
 
 @dataclass
@@ -162,7 +160,7 @@ def _load_vocab_checked(charset_path, model_cfg: ModelConfig):
     return vocab
 
 
-def cmd_train(cfg: RunConfig, seed, workers: int, out_dir) -> int:
+def cmd_train(cfg: RunConfig, seed, out_dir) -> int:
     train_cfg = cfg.train
     if seed is not None:
         train_cfg.seed = seed
@@ -179,7 +177,6 @@ def cmd_train(cfg: RunConfig, seed, workers: int, out_dir) -> int:
     val_samples = load_manifest(val_manifest, vocab)
     result = train_run(
         cfg.model, train_cfg, cfg.data, vocab, train_samples, val_samples,
-        workers=workers,
         progress=lambda m: print(f"epoch {m.epoch}: loss {m.mean_train_loss:.4f} "
                                  f"val_cer {m.val_cer:.4f} lr {m.lr:.6f}"),
     )
@@ -368,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     p.add_argument("--config", metavar="PATH", help="JSON run configuration")
     p.add_argument("--seed", type=int, default=None, help="override the run seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers for training batches (1 = reproducible reference)")
     p.add_argument("--out", metavar="DIR", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -399,7 +394,7 @@ def main(argv=None) -> int:
             out = args.out or cfg.paths.out_dir or "synth_out"
             return cmd_synth(cfg, seed, out)
         if args.command == "train":
-            return cmd_train(cfg, args.seed, args.workers, args.out)
+            return cmd_train(cfg, args.seed, args.out)
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.manifest)
         if args.command == "decode":

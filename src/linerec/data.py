@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ConfigSection, DataError
 from .lattice import Vocab
 
 DIRECTIONS = ("horizontal", "vertical")
@@ -31,7 +31,8 @@ class LineSample:
 
 
 @dataclass
-class SynthConfig:
+class SynthConfig(ConfigSection):
+    section = "data"
     charset_size: int = 12
     cell: int = 16  # glyph cell in pixels
     length_min: int = 1
@@ -66,18 +67,6 @@ class SynthConfig:
             raise ConfigError("scale and shear ranges must be well ordered")
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction {self.direction!r} not one of {DIRECTIONS}")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown data config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def synth_charset(k: int) -> Vocab:

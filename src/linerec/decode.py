@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, ConfigSection, UsageError
 from .lattice import BLANK, Vocab
 from .model import (
     ModelConfig,
@@ -28,7 +28,8 @@ MODES = ("paper_greedy", "multi_emit")
 
 
 @dataclass
-class DecodeConfig:
+class DecodeConfig(ConfigSection):
+    section = "decode"
     mode: str = "paper_greedy"
     max_symbols_per_frame: int = 3  # multi_emit only
 
@@ -39,18 +40,6 @@ class DecodeConfig:
             raise ConfigError(
                 f"max_symbols_per_frame must be >= 1, got {self.max_symbols_per_frame}"
             )
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "max_symbols_per_frame": self.max_symbols_per_frame}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecodeConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown decode config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def greedy_decode(feats, params: ModelParams, config: ModelConfig,

@@ -7,18 +7,18 @@ Forward passes cache every intermediate needed by the hand-written backward
 pass; `backward_pass` consumes the cache and the loss gradient at the
 lattice's log-probability level and produces gradients for every parameter
 tensor. Checkpoint serialization lives here too since its payload is exactly
-the parameter set.
+the parameter buffer.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, ConfigSection, UsageError
 from .lattice import Vocab
 from .numerics import (
     LstmParams,
@@ -33,7 +33,6 @@ from .numerics import (
     lstm_step,
     lstm_step_backward,
     lstm_step_cached,
-    lstm_zero_grads,
     lstm_zero_state,
     maxpool2d,
     maxpool2d_backward,
@@ -48,9 +47,10 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigSection):
     """Architecture description; see configs/ for the shipped presets."""
 
+    section = "model"
     conv_blocks: list  # [(out_channels, kernel, (pool_h, pool_w)), ...]
     recurrent_layers_visual: int
     recurrent_layers_linguistic: int
@@ -61,6 +61,10 @@ class ModelConfig:
     input_height: int
     dropout_rate: float = 0.0
     layer_norm: bool = False
+
+    def __post_init__(self):
+        # JSON gives lists; tuples keep configs equal to the tuple-built presets
+        self.conv_blocks = [(b[0], b[1], (b[2][0], b[2][1])) for b in self.conv_blocks]
 
     def validate(self) -> None:
         counts = (
@@ -105,36 +109,6 @@ class ModelConfig:
             t = _ceil_div(t, blk[2][1])
         return t
 
-    def to_dict(self) -> dict:
-        return {
-            "conv_blocks": [[b[0], b[1], [b[2][0], b[2][1]]] for b in self.conv_blocks],
-            "recurrent_layers_visual": self.recurrent_layers_visual,
-            "recurrent_layers_linguistic": self.recurrent_layers_linguistic,
-            "hidden_size": self.hidden_size,
-            "embed_size": self.embed_size,
-            "encoded_size": self.encoded_size,
-            "vocab_size": self.vocab_size,
-            "input_height": self.input_height,
-            "dropout_rate": self.dropout_rate,
-            "layer_norm": self.layer_norm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "conv_blocks" in d:
-            d["conv_blocks"] = [(b[0], b[1], (b[2][0], b[2][1])) for b in d["conv_blocks"]]
-        try:
-            cfg = cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad model config: {exc}") from None
-        cfg.validate()
-        return cfg
-
 
 @dataclass
 class ConvBlockParams:
@@ -158,7 +132,9 @@ class BiLstmParams:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor, grouped by sub-network."""
+    """Every trainable tensor, grouped by sub-network. Each tensor is a view
+    into ``flat``, one contiguous float64 buffer laid out in named_arrays
+    order, so whole-parameter operations are vector operations on it."""
 
     conv: list  # [ConvBlockParams]
     vis_rnn: list  # [BiLstmParams]
@@ -168,6 +144,7 @@ class ModelParams:
     lm_proj: AffineParams
     joint_bias: np.ndarray  # (encoded,)
     joint_w: np.ndarray  # (K+1, encoded)
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _lstm_named(prefix: str, p: LstmParams):
@@ -180,8 +157,8 @@ def _lstm_named(prefix: str, p: LstmParams):
 
 
 def named_arrays(params: ModelParams):
-    """(name, array) pairs in the canonical order used by the optimizer,
-    the checkpoint writer, and the flatten/unflatten helpers."""
+    """(name, array) pairs in the canonical order: the layout of
+    ``params.flat`` and of the checkpoint payload."""
     for i, blk in enumerate(params.conv):
         yield f"conv{i}.w", blk.w
         yield f"conv{i}.b", blk.b
@@ -201,24 +178,50 @@ def named_arrays(params: ModelParams):
     yield "joint.w", params.joint_w
 
 
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for _, a in named_arrays(params)])
-
-def set_flat_params(params: ModelParams, flat: np.ndarray) -> None:
-    need = sum(a.size for _, a in named_arrays(params))
-    if flat.size != need:
-        raise UsageError(f"flat vector has {flat.size} entries, params need {need}")
-    offset = 0
+def _on_buffer(params: ModelParams, flat: np.ndarray) -> ModelParams:
+    """The structure of ``params`` with every tensor a view into ``flat``."""
+    views, offset = {}, 0
     for _, a in named_arrays(params):
-        a[...] = flat[offset : offset + a.size].reshape(a.shape)
+        views[id(a)] = flat[offset : offset + a.size].reshape(a.shape)
         offset += a.size
+
+    def f(a: np.ndarray) -> np.ndarray:
+        return views[id(a)]
+
+    def lstm(p: LstmParams) -> LstmParams:
+        ln = (None, None) if p.ln_gain is None else (f(p.ln_gain), f(p.ln_shift))
+        return LstmParams(f(p.w_x), f(p.w_h), f(p.b), *ln)
+
+    return ModelParams(
+        conv=[ConvBlockParams(f(b.w), f(b.b), f(b.gain), f(b.shift)) for b in params.conv],
+        vis_rnn=[BiLstmParams(lstm(b.fwd), lstm(b.bwd)) for b in params.vis_rnn],
+        vis_proj=AffineParams(f(params.vis_proj.w), f(params.vis_proj.b)),
+        embed=f(params.embed),
+        lm_rnn=[lstm(p) for p in params.lm_rnn],
+        lm_proj=AffineParams(f(params.lm_proj.w), f(params.lm_proj.b)),
+        joint_bias=f(params.joint_bias),
+        joint_w=f(params.joint_w),
+        flat=flat,
+    )
+
+
+def zero_grads_shell(params: ModelParams) -> ModelParams:
+    """A ModelParams of zeros with the same shapes; gradient accumulator."""
+    return _on_buffer(params, np.zeros(params.flat.size))
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    out = zero_grads_shell(params)
-    for (_, src), (_, dst) in zip(named_arrays(params), named_arrays(out)):
-        dst[...] = src
-    return out
+    return _on_buffer(params, params.flat.copy())
+
+
+def flatten_params(params: ModelParams) -> np.ndarray:
+    return params.flat.copy()
+
+
+def set_flat_params(params: ModelParams, flat: np.ndarray) -> None:
+    if flat.size != params.flat.size:
+        raise UsageError(f"flat vector has {flat.size} entries, params need {params.flat.size}")
+    params.flat[...] = flat
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -282,7 +285,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         n_in = hs
     lm_proj = AffineParams(w=_glorot(rng, (config.encoded_size, hs)),
                            b=np.zeros(config.encoded_size))
-    return ModelParams(
+    params = ModelParams(
         conv=conv,
         vis_rnn=vis_rnn,
         vis_proj=vis_proj,
@@ -292,29 +295,8 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         joint_bias=np.zeros(config.encoded_size),
         joint_w=_glorot(rng, (config.vocab_size + 1, config.encoded_size)),
     )
+    return _on_buffer(params, np.concatenate([a.ravel() for _, a in named_arrays(params)]))
 
-
-def zero_grads_shell(params: ModelParams) -> ModelParams:
-    """A ModelParams of zeros with the same shapes; gradient accumulator."""
-    return ModelParams(
-        conv=[
-            ConvBlockParams(np.zeros_like(b.w), np.zeros_like(b.b),
-                            np.zeros_like(b.gain), np.zeros_like(b.shift))
-            for b in params.conv
-        ],
-        vis_rnn=[
-            BiLstmParams(lstm_zero_grads(b.fwd), lstm_zero_grads(b.bwd))
-            for b in params.vis_rnn
-        ],
-        vis_proj=AffineParams(np.zeros_like(params.vis_proj.w),
-                              np.zeros_like(params.vis_proj.b)),
-        embed=np.zeros_like(params.embed),
-        lm_rnn=[lstm_zero_grads(p) for p in params.lm_rnn],
-        lm_proj=AffineParams(np.zeros_like(params.lm_proj.w),
-                             np.zeros_like(params.lm_proj.b)),
-        joint_bias=np.zeros_like(params.joint_bias),
-        joint_w=np.zeros_like(params.joint_w),
-    )
 
 
 # --- visual feature encoder ---------------------------------------------------
@@ -596,17 +578,17 @@ def backward_pass(grad_lattice: np.ndarray, cache: ForwardCache,
 #                  {"config": {...ModelConfig...},
 #                   "charset": ["a", "b", ...],
 #                   "tensors": [{"name": ..., "shape": [...]}, ...]}
-#   then one float64 little-endian payload per tensor, in header order.
+#   then the parameter buffer: float64 little-endian, every tensor in header
+#   order, and nothing after it.
 # The README repeats this so non-Python readers can parse it.
 
 
 def save_checkpoint(path, config: ModelConfig, vocab: Vocab, params: ModelParams) -> None:
-    entries = list(named_arrays(params))
     header = json.dumps(
         {
             "config": config.to_dict(),
             "charset": list(vocab.symbols),
-            "tensors": [{"name": n, "shape": list(a.shape)} for n, a in entries],
+            "tensors": [{"name": n, "shape": list(a.shape)} for n, a in named_arrays(params)],
         },
         ensure_ascii=False,
     ).encode("utf-8")
@@ -614,43 +596,42 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocab, params: ModelParams
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
-        for _, a in entries:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (config, vocab, params)."""
+    """Returns (config, vocab, params); any malformed or inconsistent content
+    is a ConfigError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
+    if len(blob) < 16:
+        raise ConfigError(f"{path}: truncated in the fixed header")
     version, header_len = struct.unpack("<II", blob[8:16])
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    config = ModelConfig.from_dict(header["config"])
-    vocab = Vocab(tuple(header["charset"]))
+    try:
+        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+        config = ModelConfig.from_dict(header["config"])
+        vocab = Vocab(tuple(header["charset"]))
+        tensors = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed header: {exc}") from None
     if vocab.size != config.vocab_size:
         raise ConfigError(
             f"{path}: charset has {vocab.size} symbols, config says {config.vocab_size}"
         )
     params = init_params(config, seed=0)
-    offset = 16 + header_len
-    by_name = {n: a for n, a in named_arrays(params)}
-    seen = set()
-    for entry in header["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in by_name:
-            raise ConfigError(f"{path}: unexpected tensor {name!r}")
-        a = by_name[name]
-        if a.shape != shape:
-            raise ConfigError(f"{path}: tensor {name!r} has shape {shape}, expected {a.shape}")
-        if offset + a.size * 8 > len(blob):
-            raise ConfigError(f"{path}: truncated at tensor {name!r}")
-        a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset).reshape(shape)
-        offset += a.size * 8
-        seen.add(name)
-    missing = set(by_name) - seen
-    if missing:
-        raise ConfigError(f"{path}: missing tensors {sorted(missing)}")
+    expected = [(n, a.shape) for n, a in named_arrays(params)]
+    if tensors != expected:
+        got, want = next(((t, e) for t, e in zip(tensors, expected) if t != e),
+                         (f"{len(tensors)} tensors", len(expected)))
+        raise ConfigError(f"{path}: header tensors differ from the model's: {got} instead of {want}")
+    payload = len(blob) - 16 - header_len
+    if payload != params.flat.size * 8:
+        raise ConfigError(
+            f"{path}: payload is {payload} bytes, the model needs {params.flat.size * 8}"
+        )
+    params.flat[...] = np.frombuffer(blob, dtype="<f8", offset=16 + header_len)
     return config, vocab, params

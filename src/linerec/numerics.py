@@ -353,14 +353,3 @@ def lstm_step_backward(
         grad_h_prev = grad_h_prev * cache.rec_mask
     grad_c_prev = dc * f
     return grad_x, grad_h_prev, grad_c_prev
-
-
-def lstm_zero_grads(params: LstmParams) -> LstmParams:
-    """A gradient container shaped like ``params``, zero-filled."""
-    return LstmParams(
-        w_x=np.zeros_like(params.w_x),
-        w_h=np.zeros_like(params.w_h),
-        b=np.zeros_like(params.b),
-        ln_gain=None if params.ln_gain is None else np.zeros_like(params.ln_gain),
-        ln_shift=None if params.ln_shift is None else np.zeros_like(params.ln_shift),
-    )

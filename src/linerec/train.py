@@ -2,9 +2,10 @@
 per-epoch validation by character error rate, best-checkpoint retention,
 and a TSV metrics log.
 
-Single-threaded runs with a fixed seed are bitwise reproducible; the
-``workers`` knob parallelizes per-sample forward/backward within a batch
-while keeping the accumulation order (and therefore the arithmetic) fixed.
+Every whole-parameter operation (gradient accumulation, the global norm,
+the Adam update) is one vector operation on the flat parameter buffer (see
+``ModelParams``). A run is a pure function of its configs, data and seed:
+with a fixed seed it is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ from __future__ import annotations
 import math
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import SynthConfig, augment, preprocess
 from .decode import DecodeConfig, decode_image
-from .errors import ConfigError, TrainingError, UsageError
+from .errors import ConfigError, ConfigSection, TrainingError, UsageError
 from .lattice import Vocab, rnnt_alphabeta, rnnt_grad
 from .model import (
     ModelConfig,
@@ -41,7 +41,8 @@ METRICS_COLUMNS = ("epoch", "mean_train_loss", "val_cer", "lr", "wall_seconds")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigSection):
+    section = "train"
     batch_size: int = 16
     epochs: int = 30
     base_lr: float = 2e-4
@@ -64,18 +65,6 @@ class TrainConfig:
             )
         if self.grad_clip_norm < 0 or self.augment_strength < 0:
             raise ConfigError("grad_clip_norm and augment_strength must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 # --- learning-rate schedule -----------------------------------------------------
@@ -103,17 +92,15 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptState:
-    m: ModelParams  # first-moment accumulators, shapes mirror the params
-    v: ModelParams  # second-moment accumulators
+    m: np.ndarray  # first-moment accumulators, laid out like params.flat
+    v: np.ndarray  # second-moment accumulators
+    work: np.ndarray = field(repr=False)  # (2, n) scratch that adam_step overwrites
     step: int = 0
 
 
 def init_opt_state(params: ModelParams) -> OptState:
-    return OptState(m=zero_grads_shell(params), v=zero_grads_shell(params), step=0)
-
-
-def global_grad_norm(grads: ModelParams) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for _, g in named_arrays(grads)))
+    n = params.flat.size
+    return OptState(m=np.zeros(n), v=np.zeros(n), work=np.empty((2, n)))
 
 
 def adam_step(params: ModelParams, grads: ModelParams, opt: OptState, lr: float,
@@ -121,9 +108,10 @@ def adam_step(params: ModelParams, grads: ModelParams, opt: OptState, lr: float,
     """One optimizer update, in place; returns (params, opt) for chaining.
 
     Gradients are first clipped to the given global norm (0 disables), then
-    fed through bias-corrected Adam.
+    fed through bias-corrected Adam. The update runs in place through
+    ``opt.work``, so a step allocates no parameter-sized temporaries.
     """
-    norm = global_grad_norm(grads)
+    norm = math.sqrt(float(grads.flat @ grads.flat))
     if not math.isfinite(norm):
         bad = [n for n, g in named_arrays(grads) if not np.all(np.isfinite(g))]
         raise TrainingError(f"non-finite gradient in {bad}")
@@ -131,13 +119,23 @@ def adam_step(params: ModelParams, grads: ModelParams, opt: OptState, lr: float,
     opt.step += 1
     correct1 = 1.0 - ADAM_BETA1**opt.step
     correct2 = 1.0 - ADAM_BETA2**opt.step
-    triples = zip(named_arrays(params), named_arrays(grads),
-                  named_arrays(opt.m), named_arrays(opt.v))
-    for (_, p), (_, g), (_, m), (_, v) in triples:
-        g = g * scale
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    g, tmp = opt.work
+    m, v = opt.m, opt.v
+    np.multiply(grads.flat, scale, out=g)
+    # in place, rounded exactly as m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=tmp)
+    v += np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
+    # p -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
+    np.divide(v, correct2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, correct1, out=g)
+    g *= lr
+    g /= tmp
+    params.flat -= g
     return params, opt
 
 
@@ -226,14 +224,9 @@ def _example_loss_grads(sample, labels, params, model_cfg, dropout_rng, inv_batc
     return loss, backward_pass(grad_lattice, cache, params, model_cfg)
 
 
-def _accumulate(total: ModelParams, delta: ModelParams) -> None:
-    for (_, a), (_, b) in zip(named_arrays(total), named_arrays(delta)):
-        a += b
-
-
 def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthConfig,
-              vocab: Vocab, train_samples, val_samples, *, workers: int = 1,
-              clock=time.monotonic, progress=None) -> TrainResult:
+              vocab: Vocab, train_samples, val_samples, *, clock=time.monotonic,
+              progress=None) -> TrainResult:
     """Full training run over pre-split data; returns the result summary and
     leaves per-epoch checkpoints, a `best.ckpt` alias, and `metrics.tsv`
     under train_cfg.checkpoint_dir.
@@ -249,8 +242,6 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
         )
     if not train_samples:
         raise ConfigError("no training samples")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     ckpt_dir = Path(train_cfg.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -262,75 +253,60 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
     n = len(canon_train)
     steps_per_epoch = math.ceil(n / train_cfg.batch_size)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     metrics: list = []
     checkpoint_paths: list = []
     best_epoch, best_cer = 0, float("inf")
     metrics_path = ckpt_dir / "metrics.tsv"
     t0 = clock()
     global_step = 0
-    try:
-        with open(metrics_path, "w", encoding="utf-8") as log:
-            log.write("\t".join(METRICS_COLUMNS) + "\n")
-            for epoch in range(1, train_cfg.epochs + 1):
-                order = np.random.default_rng((train_cfg.seed, epoch)).permutation(n)
-                losses = []
-                lr = 0.0
-                for start in range(0, n, train_cfg.batch_size):
-                    chunk = order[start : start + train_cfg.batch_size]
-                    lr = lr_at(global_step, steps_per_epoch, train_cfg)
-                    batch_grads = zero_grads_shell(params)
-
-                    def one(idx, _epoch=epoch):
-                        idx = int(idx)
-                        s = augment(canon_train[idx], synth_cfg,
-                                    train_cfg.augment_strength,
-                                    _augment_seed(train_cfg.seed, _epoch, idx))
-                        rng = (np.random.default_rng((train_cfg.seed, _epoch, idx, 7))
+    with open(metrics_path, "w", encoding="utf-8") as log:
+        log.write("\t".join(METRICS_COLUMNS) + "\n")
+        for epoch in range(1, train_cfg.epochs + 1):
+            order = np.random.default_rng((train_cfg.seed, epoch)).permutation(n)
+            losses = []
+            lr = 0.0
+            for start in range(0, n, train_cfg.batch_size):
+                chunk = [int(i) for i in order[start : start + train_cfg.batch_size]]
+                lr = lr_at(global_step, steps_per_epoch, train_cfg)
+                batch_grads = zero_grads_shell(params)
+                batch_loss = 0.0
+                try:
+                    for idx in chunk:
+                        sample = augment(canon_train[idx], synth_cfg,
+                                         train_cfg.augment_strength,
+                                         _augment_seed(train_cfg.seed, epoch, idx))
+                        rng = (np.random.default_rng((train_cfg.seed, epoch, idx, 7))
                                if model_cfg.dropout_rate > 0 else None)
-                        return _example_loss_grads(s, label_cache[idx], params,
-                                                   model_cfg, rng, 1.0 / len(chunk))
-
-                    try:
-                        if pool is not None:
-                            results = list(pool.map(one, chunk))
-                        else:
-                            results = [one(idx) for idx in chunk]
-                    except (UsageError, FloatingPointError) as exc:
-                        raise TrainingError(
-                            f"epoch {epoch}, batch starting at sample {start}: "
-                            f"samples {[int(i) for i in chunk]}: {exc}"
-                        ) from exc
-                    batch_loss = 0.0
-                    for loss, grads in results:
+                        loss, grads = _example_loss_grads(sample, label_cache[idx], params,
+                                                          model_cfg, rng, 1.0 / len(chunk))
                         batch_loss += loss / len(chunk)
-                        _accumulate(batch_grads, grads)
-                    if not math.isfinite(batch_loss):
-                        raise TrainingError(
-                            f"epoch {epoch}, batch starting at sample {start}: "
-                            f"loss diverged on samples {[int(i) for i in chunk]}"
-                        )
-                    losses.append(batch_loss)
-                    adam_step(params, batch_grads, opt, lr,
-                              clip_norm=train_cfg.grad_clip_norm)
-                    global_step += 1
+                        batch_grads.flat += grads.flat
+                except (UsageError, FloatingPointError) as exc:
+                    raise TrainingError(
+                        f"epoch {epoch}, batch starting at sample {start}: "
+                        f"samples {chunk}: {exc}"
+                    ) from exc
+                if not math.isfinite(batch_loss):
+                    raise TrainingError(
+                        f"epoch {epoch}, batch starting at sample {start}: "
+                        f"loss diverged on samples {chunk}"
+                    )
+                losses.append(batch_loss)
+                adam_step(params, batch_grads, opt, lr, clip_norm=train_cfg.grad_clip_norm)
+                global_step += 1
 
-                val = evaluate_cer(params, model_cfg, vocab, canon_val)
-                entry = EpochMetrics(epoch, float(np.mean(losses)), val, lr,
-                                     clock() - t0)
-                metrics.append(entry)
-                log.write(entry.row() + "\n")
-                log.flush()
-                if progress is not None:
-                    progress(entry)
-                path = ckpt_dir / f"epoch_{epoch:03d}.ckpt"
-                save_checkpoint(path, model_cfg, vocab, params)
-                checkpoint_paths.append(path)
-                if val < best_cer:  # strict: ties keep the earlier epoch
-                    best_cer, best_epoch = val, epoch
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            val = evaluate_cer(params, model_cfg, vocab, canon_val)
+            entry = EpochMetrics(epoch, float(np.mean(losses)), val, lr, clock() - t0)
+            metrics.append(entry)
+            log.write(entry.row() + "\n")
+            log.flush()
+            if progress is not None:
+                progress(entry)
+            path = ckpt_dir / f"epoch_{epoch:03d}.ckpt"
+            save_checkpoint(path, model_cfg, vocab, params)
+            checkpoint_paths.append(path)
+            if val < best_cer:  # strict: ties keep the earlier epoch
+                best_cer, best_epoch = val, epoch
 
     best_path = ckpt_dir / "best.ckpt"
     shutil.copyfile(checkpoint_paths[best_epoch - 1], best_path)

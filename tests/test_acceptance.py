@@ -240,9 +240,8 @@ def test_criterion_8_determinism(tmp_path):
         cfg_path = root / "run.json"
         root.mkdir()
         cfg_path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["--config", str(cfg_path), "--out", str(data),
-                     "--workers", "1", "synth"]) == 0
-        assert main(["--config", str(cfg_path), "--workers", "1", "train"]) == 0
+        assert main(["--config", str(cfg_path), "--out", str(data), "synth"]) == 0
+        assert main(["--config", str(cfg_path), "train"]) == 0
         dataset = {p.relative_to(data).as_posix(): p.read_bytes()
                    for p in sorted(data.rglob("*")) if p.is_file()}
         return (dataset,
@@ -279,7 +278,7 @@ def test_criterion_8_determinism(tmp_path):
         cfg = TrainConfig(batch_size=4, epochs=1, base_lr=1e-3, warmup_epochs=0,
                           seed=11, checkpoint_dir=str(tmp_path / tag))
         res = train_run(model_cfg, cfg, synth_cfg, vocab, train_samples,
-                        val_samples, workers=1, clock=FakeClock())
+                        val_samples, clock=FakeClock())
         return Path(res.metrics_path).read_bytes()
 
     metrics_ok = lib_run("lib_a") == lib_run("lib_b")

@@ -3,6 +3,7 @@ train -> eval -> decode pipeline, config validation, and the verify suite."""
 
 import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -89,10 +90,21 @@ def test_unknown_model_key_rejected(tmp_path):
     assert main(["--config", str(path), "verify", "--trials", "1"]) == 3
 
 
-def test_invalid_json_exits_3(tmp_path):
+def test_invalid_json_exits_3(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope", encoding="utf-8")
     assert main(["--config", str(path), "verify", "--trials", "1"]) == 3
+    # well-formed JSON with values of the wrong type or shape
+    for case in [dict(train={"batch_size": "16"}),
+                 dict(decode={"max_symbols_per_frame": "3"}),
+                 dict(data={"charset_size": "3"}),
+                 dict(model={"conv_blocks": [[8, 3]]}),
+                 dict(extra={"paths": []})]:
+        capsys.readouterr()
+        path = write_config(tmp_path, **case)
+        assert main(["--config", str(path), "verify", "--trials", "1"]) == 3, case
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
 
 def test_missing_config_file_exits_2():
@@ -244,6 +256,41 @@ def test_eval_charset_mismatch_exits_3(pipeline, tmp_path, capsys):
                "--checkpoint", str(run / "best.ckpt")])
     assert rc == 3
     assert "id 2" in capsys.readouterr().err
+
+
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    (size,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16 : 16 + size])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + size :]
+
+
+def _bad_json(blob: bytes) -> bytes:
+    (size,) = struct.unpack("<I", blob[12:16])
+    return blob[:16] + b"{" * size + blob[16 + size :]
+
+
+CORRUPTIONS = {
+    "shorter_than_16_bytes": lambda blob: blob[:12],
+    "malformed_json_header": _bad_json,
+    "header_missing_a_key": lambda blob: _rewrite_header(blob, lambda h: h.pop("charset")),
+    "tensors_not_a_list": lambda blob: _rewrite_header(blob, lambda h: h.update(tensors=7)),
+    "trailing_bytes": lambda blob: blob + bytes(8),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_decode_corrupt_checkpoint_exits_3(pipeline, tmp_path, capsys, corruption):
+    cfg_path, data, run = pipeline
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CORRUPTIONS[corruption]((run / "best.ckpt").read_bytes()))
+    image = next(data.rglob("*.pgm"))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "decode", "--checkpoint", str(bad),
+                 str(image)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
 
 def test_train_missing_manifest_exits_2(tmp_path):

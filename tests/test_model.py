@@ -3,6 +3,7 @@ incremental-vs-batch linguistic equivalence, whole-network finite-difference
 gradients, and the checkpoint container."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ def test_init_is_deterministic_per_seed():
     c = md.flatten_params(md.init_params(cfg, seed=12))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# --- the flat parameter buffer -----------------------------------------------------
+
+
+def test_named_tensors_tile_the_flat_buffer_in_order():
+    params = md.init_params(tiny_config(layer_norm=True), seed=11)
+    for p in (params, md.zero_grads_shell(params), md.clone_params(params)):
+        base = p.flat.__array_interface__["data"][0]
+        assert p.flat.ndim == 1 and p.flat.flags.c_contiguous
+        offset = 0
+        for name, a in md.named_arrays(p):
+            assert np.shares_memory(a, p.flat), name
+            assert a.flags.c_contiguous, name
+            assert a.__array_interface__["data"][0] == base + 8 * offset, name
+            offset += a.size
+        assert offset == p.flat.size
+
+
+def test_shells_and_clones_own_independent_buffers():
+    params = md.init_params(tiny_config(), seed=11)
+    before = params.flat.copy()
+    shell, clone = md.zero_grads_shell(params), md.clone_params(params)
+    assert not np.any(shell.flat)
+    assert np.array_equal(clone.flat, before)
+    for a, b in [(params, shell), (params, clone), (shell, clone)]:
+        assert not np.shares_memory(a.flat, b.flat)
+    shell.embed += 1.0
+    clone.joint_w *= 2.0
+    assert np.array_equal(params.flat, before)
+    assert np.count_nonzero(shell.flat) == shell.embed.size
+    assert not np.array_equal(clone.flat, before)
 
 
 def test_init_respects_documented_ranges():
@@ -302,6 +335,13 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     assert cfg2 == cfg
     assert vocab2 == vocab
     assert np.array_equal(md.flatten_params(params2), md.flatten_params(params))
+
+
+def test_committed_checkpoint_reloads_to_the_same_bytes(tmp_path):
+    committed = Path(__file__).resolve().parent.parent / "bench" / "reference" / "decode_s1.ckpt"
+    copy = tmp_path / "again.ckpt"
+    md.save_checkpoint(copy, *md.load_checkpoint(committed))
+    assert copy.read_bytes() == committed.read_bytes()
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

@@ -341,7 +341,7 @@ def test_lstm_bptt_matches_fd(layer_norm, dropout_mask):
     for t in range(steps):
         _, state, cache = nm.lstm_step_cached(xs[t], state, params, rec_mask=mask)
         caches.append(cache)
-    grads = nm.lstm_zero_grads(params)
+    grads = _unpack_lstm(np.zeros_like(_pack_lstm(params)), params)
     dh = np.zeros(hs)
     dc = np.zeros(hs)
     for t in reversed(range(steps)):
