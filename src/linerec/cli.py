@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracles
 from .data import (
     DIRECTIONS,
     LineSample,
@@ -34,20 +33,10 @@ from .data import (
     write_charset,
     write_manifest,
 )
-from .decode import DecodeConfig, decode_image, greedy_decode
+from .decode import DecodeConfig, decode_image
 from .errors import ConfigError, ConfigSection, DataError, TrainingError, UsageError
-from .lattice import (
-    alignment_log_prob,
-    enumerate_alignments,
-    loss_and_logit_grad,
-    random_lattice,
-    remove_blanks,
-    rnnt_alphabeta,
-    rnnt_forward,
-    rnnt_grad,
-    rnnt_loss_brute,
-)
-from .model import ModelConfig, init_params, load_checkpoint, visual_encode
+from .lattice import loss_and_logit_grad
+from .model import ModelConfig, load_checkpoint
 from .train import TrainConfig, evaluate_cer, train_run
 
 SECTIONS = ("model", "train", "data", "decode", "paths")
@@ -75,10 +64,6 @@ class RunPaths(ConfigSection):
     charset: str | None = None
     checkpoint: str | None = None
     out_dir: str | None = None
-
-    def validate(self) -> None:
-        if not all(v is None or isinstance(v, str) for v in self.to_dict().values()):
-            raise ConfigError("every paths entry must be a string or null")
 
 
 @dataclass
@@ -237,108 +222,31 @@ def cmd_decode(cfg: RunConfig, checkpoint, images, direction: str) -> int:
 # --- verify: the built-in oracle suite -------------------------------------------
 
 
-def _check_loss_vs_enumeration(rng, trials: int):
-    worst = 0.0
-    for _ in range(trials):
-        t = int(rng.integers(1, 5))
-        u = int(rng.integers(0, 4))
-        k = int(rng.integers(1, 6))
-        lat = random_lattice(rng, t, u, k)
-        labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
-        got = rnnt_forward(lat, labels).log_prob
-        want = rnnt_loss_brute(lat, labels)
-        worst = max(worst, abs(got - want))
-    return worst, 1e-9
-
-
-def _check_gradient_fd(rng, trials: int, inject_fault: bool):
-    worst = 0.0
-    h = 1e-5
-    for _ in range(max(1, trials // 10)):
-        t, u, k = 3, 2, 3
-        logits = rng.normal(size=(t, u + 1, k + 1))
-        labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
-        _, grad = loss_and_logit_grad(logits, labels)
-        if inject_fault:
-            grad = grad.copy()
-            grad.flat[0] += 1e-3
-        numeric = np.zeros_like(logits)
-        for idx in range(logits.size):
-            probe = logits.copy()
-            probe.flat[idx] += h
-            up, _ = loss_and_logit_grad(probe, labels)
-            probe.flat[idx] -= 2 * h
-            down, _ = loss_and_logit_grad(probe, labels)
-            numeric.flat[idx] = (up - down) / (2 * h)
-        denom = max(np.max(np.abs(grad)), np.max(np.abs(numeric)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(grad - numeric)) / denom))
-    return worst, 1e-6
-
-
-def _check_antidiagonal_mass(rng, trials: int):
-    worst = 0.0
-    for _ in range(trials):
-        t = int(rng.integers(1, 6))
-        u = int(rng.integers(0, 4))
-        k = int(rng.integers(1, 5))
-        lat = random_lattice(rng, t, u, k)
-        labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
-        tables = rnnt_alphabeta(lat, labels)
-        gamma = -rnnt_grad(lat, labels, tables)
-        for n in range(t + u):
-            mass = sum(
-                gamma[i, n - i].sum()
-                for i in range(max(0, n - u), min(t - 1, n) + 1)
-            )
-            worst = max(worst, abs(mass - 1.0))
-    return worst, 1e-9
-
-
-def _check_alignment_counts(rng, trials: int):
-    worst = 0
-    for t in range(1, 5):
-        for u in range(0, 4):
-            labels = tuple(1 + (i % 2) for i in range(u))
-            paths = enumerate_alignments(t, labels)
-            want = math.comb(t + u - 1, u)
-            worst = max(worst, abs(len(paths) - want))
-            lat = random_lattice(rng, t, u, 3)
-            for a in paths:
-                alignment_log_prob(lat, labels, a)  # raises if invalid
-                if remove_blanks(a) != labels:
-                    worst = max(worst, 1)
-    return float(worst), 0.5
-
-
-def _check_greedy_bound(rng, trials: int):
-    cfg = ModelConfig(
-        conv_blocks=[(2, 3, (2, 2)), (2, 3, (2, 1))],
-        recurrent_layers_visual=1,
-        recurrent_layers_linguistic=1,
-        hidden_size=3,
-        embed_size=3,
-        encoded_size=4,
-        vocab_size=3,
-        input_height=4,
-    )
-    worst = 0
-    for i in range(max(1, trials // 4)):
-        params = init_params(cfg, seed=int(rng.integers(0, 2**31)))
-        image = rng.random((4, int(rng.integers(1, 40))))
-        feats = visual_encode(image, params, cfg)
-        out = greedy_decode(feats, params, cfg)
-        worst = max(worst, len(out) - feats.shape[0])
-    return float(worst), 0.5
+def _faulty_loss_and_logit_grad(logits, labels):
+    """loss_and_logit_grad with one gradient entry off by 1e-3."""
+    loss, grad = loss_and_logit_grad(logits, labels)
+    grad.flat[0] += 1e-3
+    return loss, grad
 
 
 def cmd_verify(trials: int, seed: int, inject_fault: bool) -> int:
+    if trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+
+    def shapes(n, t_stop, u_stop, k_stop):
+        return ((int(rng.integers(1, t_stop)), int(rng.integers(0, u_stop)),
+                 int(rng.integers(1, k_stop))) for _ in range(n))
+
+    loss_grad = _faulty_loss_and_logit_grad if inject_fault else loss_and_logit_grad
+    counted = [(t, tuple(1 + i % 2 for i in range(u))) for t in range(1, 5) for u in range(4)]
     checks = [
-        ("loss_vs_enumeration", *_check_loss_vs_enumeration(rng, trials)),
-        ("gradient_finite_difference", *_check_gradient_fd(rng, trials, inject_fault)),
-        ("antidiagonal_mass", *_check_antidiagonal_mass(rng, trials)),
-        ("alignment_counts", *_check_alignment_counts(rng, trials)),
-        ("greedy_length_bound", *_check_greedy_bound(rng, trials)),
+        ("loss_vs_enumeration", oracles.loss_vs_enumeration(rng, shapes(trials, 5, 4, 6)), 1e-9),
+        ("gradient_finite_difference",
+         oracles.logit_gradient_error(rng, [(3, 2, 3)] * max(1, trials // 10), loss_grad), 1e-6),
+        ("antidiagonal_mass", oracles.antidiagonal_mass_error(rng, shapes(trials, 6, 4, 5)), 1e-9),
+        ("alignment_counts", oracles.alignment_count_error(counted), 0.5),
+        ("greedy_length_bound", oracles.greedy_length_excess(rng, max(1, trials // 4)), 0.5),
     ]
     failed = 0
     for name, worst, bound in checks:

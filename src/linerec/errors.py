@@ -1,6 +1,7 @@
 """Exception types and the config-section base shared across the package."""
 
 from dataclasses import asdict, fields
+from typing import get_type_hints
 
 
 class UsageError(ValueError):
@@ -19,6 +20,13 @@ class TrainingError(Exception):
     """Training cannot continue (e.g. the loss went non-finite)."""
 
 
+def json_type_ok(kind, value) -> bool:
+    """Whether JSON ``value`` fits a field of type ``kind``; true/false fit bool only."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 class ConfigSection:
     """Base of the config dataclasses, each parsed from one JSON object."""
 
@@ -26,6 +34,9 @@ class ConfigSection:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def validate(self) -> None:
+        """Range checks beyond the field types; raises ConfigError."""
 
     @classmethod
     def from_dict(cls, d):
@@ -37,6 +48,10 @@ class ConfigSection:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        for name, kind in get_type_hints(cls).items():
+            if name in d and not json_type_ok(kind, d[name]):
+                raise ConfigError(f"bad {cls.section} config: {name} must be "
+                                  f"{getattr(kind, '__name__', kind)}, got {d[name]!r}")
         try:
             cfg = cls(**d)
             cfg.validate()

@@ -69,8 +69,8 @@ class AlphaBetaTables:
     """Forward/backward log-mass tables plus the total log-probability."""
 
     alpha: np.ndarray  # (T, U+1)
+    beta: np.ndarray  # (T, U+1)
     log_prob: float
-    beta: np.ndarray | None = None  # (T, U+1), filled by rnnt_alphabeta
 
 
 def remove_blanks(alignment, num_classes: int | None = None) -> tuple[int, ...]:
@@ -159,7 +159,7 @@ def _transition_slices(lattice: np.ndarray, labels):
     return blank, label
 
 
-def rnnt_forward(lattice: np.ndarray, labels) -> AlphaBetaTables:
+def rnnt_forward(lattice: np.ndarray, labels) -> tuple[np.ndarray, float]:
     """Forward pass: alpha[t, u] = log-mass of consuming t frames, emitting u labels.
 
     alpha[0, 0] = 0, alpha[t][u] = LSE(alpha[t-1][u] + blank(t-1, u),
@@ -180,7 +180,7 @@ def rnnt_forward(lattice: np.ndarray, labels) -> AlphaBetaTables:
                 alpha[t - 1, u] + blank[t - 1, u], alpha[t, u - 1] + label[t, u - 1]
             )
     log_prob = float(alpha[t_total - 1, rows - 1] + blank[t_total - 1, rows - 1])
-    return AlphaBetaTables(alpha=alpha, log_prob=log_prob)
+    return alpha, log_prob
 
 
 def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
@@ -205,9 +205,8 @@ def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
 
 
 def rnnt_alphabeta(lattice: np.ndarray, labels) -> AlphaBetaTables:
-    tables = rnnt_forward(lattice, labels)
-    tables.beta = rnnt_backward(lattice, labels)
-    return tables
+    alpha, log_prob = rnnt_forward(lattice, labels)
+    return AlphaBetaTables(alpha=alpha, beta=rnnt_backward(lattice, labels), log_prob=log_prob)
 
 
 def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables) -> np.ndarray:
@@ -223,8 +222,6 @@ def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables) -> np.ndarra
     """
     labels = tuple(labels)
     _check_labels(lattice, labels)
-    if tables.beta is None:
-        raise UsageError("tables.beta missing; build them with rnnt_alphabeta")
     t_total, rows = lattice.shape[0], lattice.shape[1]
     blank, label = _transition_slices(lattice, labels)
     beta_next = np.full((t_total, rows), NEG_INF)
@@ -242,12 +239,9 @@ def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables) -> np.ndarra
 
 
 def loss_and_logit_grad(logits: np.ndarray, labels):
-    """Normalize raw logits per node, run forward/backward, and chain the
-    transition posteriors back through the softmax.
-
-    Returns (loss, grad) with loss = -log Pr(y|x) and grad shaped like
-    ``logits``. This is the whole training-side surface of the lattice.
-    """
+    """(loss, grad): loss = -log Pr(y|x) of raw logits normalized per node, and
+    its gradient wrt ``logits``, the transition posteriors chained back through
+    the softmax. Training chains the same steps inside model.backward_pass."""
     lattice = log_softmax(logits)
     tables = rnnt_alphabeta(lattice, labels)
     grad_logprob = rnnt_grad(lattice, tuple(labels), tables)
@@ -256,5 +250,5 @@ def loss_and_logit_grad(logits: np.ndarray, labels):
 
 
 def random_lattice(rng: np.random.Generator, t: int, u: int, k: int) -> np.ndarray:
-    """A random normalized (T, U+1, K+1) lattice; shared by tests and `verify`."""
+    """A random normalized (T, U+1, K+1) lattice."""
     return log_softmax(rng.normal(size=(t, u + 1, k + 1)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConfigSection, UsageError
+from .errors import ConfigError, ConfigSection, UsageError, json_type_ok
 from .lattice import Vocab
 from .numerics import (
     LstmParams,
@@ -85,6 +85,8 @@ class ModelConfig(ConfigSection):
         h = self.input_height
         for blk in self.conv_blocks:
             channels, kernel, pool = blk[0], blk[1], tuple(blk[2])
+            if not all(json_type_ok(int, x) for x in (channels, kernel, *pool)):
+                raise ConfigError(f"conv block {blk} must hold integers")
             if channels < 1 or kernel < 1 or kernel % 2 == 0:
                 raise ConfigError(f"bad conv block {blk}: channels >= 1, odd kernel")
             if pool[0] < 1 or pool[1] < 1:
@@ -212,16 +214,6 @@ def zero_grads_shell(params: ModelParams) -> ModelParams:
 
 def clone_params(params: ModelParams) -> ModelParams:
     return _on_buffer(params, params.flat.copy())
-
-
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return params.flat.copy()
-
-
-def set_flat_params(params: ModelParams, flat: np.ndarray) -> None:
-    if flat.size != params.flat.size:
-        raise UsageError(f"flat vector has {flat.size} entries, params need {params.flat.size}")
-    params.flat[...] = flat
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:

@@ -281,7 +281,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
                                                           model_cfg, rng, 1.0 / len(chunk))
                         batch_loss += loss / len(chunk)
                         batch_grads.flat += grads.flat
-                except (UsageError, FloatingPointError) as exc:
+                except UsageError as exc:
                     raise TrainingError(
                         f"epoch {epoch}, batch starting at sample {start}: "
                         f"samples {chunk}: {exc}"

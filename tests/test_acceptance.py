@@ -13,23 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fd import fd_grad, rel_err
 from test_decode import install_script
+from test_model import model_gradient_error
 
-import linerec.model as md
-from linerec.cli import main
+from linerec import oracles
+from linerec.cli import default_model_config, main
 from linerec.data import SynthConfig, make_dataset, synth_charset
-from linerec.lattice import (
-    alignment_log_prob,
-    enumerate_alignments,
-    loss_and_logit_grad,
-    random_lattice,
-    remove_blanks,
-    rnnt_alphabeta,
-    rnnt_forward,
-    rnnt_grad,
-    rnnt_loss_brute,
-)
+from linerec.lattice import alignment_log_prob, enumerate_alignments, random_lattice, remove_blanks
 from linerec.model import ModelConfig, init_params
 from linerec.train import TrainConfig, train_run
 
@@ -48,12 +38,7 @@ def test_criterion_1_loss_oracle_equivalence():
     cases = grid + [tuple(map(int, (rng.integers(1, 5), rng.integers(0, 4),
                                     rng.integers(1, 6))))
                     for _ in range(100 - len(grid))]
-    worst = 0.0
-    for t, u, k in cases:
-        lat = random_lattice(rng, t, u, k)
-        labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
-        worst = max(worst, abs(rnnt_forward(lat, labels).log_prob
-                               - rnnt_loss_brute(lat, labels)))
+    worst = oracles.loss_vs_enumeration(rng, cases)
     elapsed = time.perf_counter() - started
     report(1, "loss oracle equivalence",
            worst < 1e-9 and elapsed < 10.0,
@@ -65,61 +50,24 @@ def test_criterion_2_gradient_exactness():
     started = time.perf_counter()
     rng = np.random.default_rng(2)
 
-    worst_lattice = 0.0
-    for _ in range(5):
-        logits = rng.normal(size=(3, 3, 4))
-        labels = tuple(int(x) for x in rng.integers(1, 4, size=2))
-        _, analytic = loss_and_logit_grad(logits, labels)
-        numeric = fd_grad(lambda x: loss_and_logit_grad(x, labels)[0], logits)
-        worst_lattice = max(worst_lattice, rel_err(analytic, numeric))
+    worst_lattice = oracles.logit_gradient_error(rng, [(3, 2, 3)] * 5)
 
-    cfg = ModelConfig(
-        conv_blocks=[(2, 3, (2, 2)), (2, 3, (2, 1))],
-        recurrent_layers_visual=1,
-        recurrent_layers_linguistic=1,
-        hidden_size=3,
-        embed_size=3,
-        encoded_size=4,
-        vocab_size=3,
-        input_height=4,
-    )
+    cfg = oracles.tiny_model_config()
     params = init_params(cfg, seed=3)
     image = np.random.default_rng(3).random((4, 12))
-    labels = (1, 3)
-
-    def forward(flat):
-        p = md.clone_params(params)
-        md.set_flat_params(p, flat)
-        lattice, cache = md.forward_lattice(image, labels, p, cfg)
-        tables = rnnt_alphabeta(lattice, labels)
-        return tables, cache, p
-
-    flat = md.flatten_params(params)
-    tables, cache, p = forward(flat)
-    grad_lattice = rnnt_grad(cache.lattice, labels, tables)
-    analytic = md.flatten_params(md.backward_pass(grad_lattice, cache, p, cfg))
-    numeric = fd_grad(lambda v: -forward(v)[0].log_prob, flat)
-    worst_model = rel_err(analytic, numeric)
+    worst_model = model_gradient_error(image, (1, 3), params, cfg)
     elapsed = time.perf_counter() - started
     report(2, "gradient exactness",
            worst_lattice < 1e-6 and worst_model < 1e-4 and elapsed < 60.0,
            f"lattice rel err {worst_lattice:.3e} (< 1e-6), whole-model rel err "
-           f"{worst_model:.3e} (< 1e-4) over {flat.size} weights, "
+           f"{worst_model:.3e} (< 1e-4) over {params.flat.size} weights, "
            f"{elapsed:.1f} s (< 60 s)")
 
 
 def test_criterion_3_antidiagonal_conservation():
     rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(50):
-        t, u = int(rng.integers(1, 6)), int(rng.integers(0, 5))
-        labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
-        lat = random_lattice(rng, t, u, 3)
-        gamma = -rnnt_grad(lat, labels, rnnt_alphabeta(lat, labels))
-        for n in range(t + u):
-            mass = sum(gamma[i, n - i].sum()
-                       for i in range(max(0, n - u), min(t, n + 1)))
-            worst = max(worst, abs(mass - 1.0))
+    cases = [(int(rng.integers(1, 6)), int(rng.integers(0, 5)), 3) for _ in range(50)]
+    worst = oracles.antidiagonal_mass_error(rng, cases)
     report(3, "anti-diagonal conservation", worst < 1e-9,
            f"50 random lattices, worst |mass - 1| = {worst:.3e} (< 1e-9)")
 
@@ -171,16 +119,7 @@ def test_criterion_5_greedy_search_fidelity(monkeypatch):
 
 def test_criterion_6_toy_learning(tmp_path):
     started = time.perf_counter()
-    model_cfg = ModelConfig(
-        conv_blocks=[(8, 3, (2, 2)), (16, 3, (2, 2)), (32, 3, (8, 2))],
-        recurrent_layers_visual=1,
-        recurrent_layers_linguistic=1,
-        hidden_size=64,
-        embed_size=32,
-        encoded_size=64,
-        vocab_size=12,
-        input_height=32,
-    )
+    model_cfg = default_model_config()
     synth_cfg = SynthConfig(charset_size=12, length_min=1, length_max=8)
     vocab = synth_charset(12)
     train_samples = make_dataset(synth_cfg, 2000, seed=100)

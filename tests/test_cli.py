@@ -99,7 +99,16 @@ def test_invalid_json_exits_3(tmp_path, capsys):
                  dict(decode={"max_symbols_per_frame": "3"}),
                  dict(data={"charset_size": "3"}),
                  dict(model={"conv_blocks": [[8, 3]]}),
-                 dict(extra={"paths": []})]:
+                 dict(extra={"paths": []}),
+                 dict(data={"count": 1.5}),
+                 dict(train={"batch_size": 2.5}),
+                 dict(train={"epochs": True}),
+                 dict(train={"base_lr": "0.001"}),
+                 dict(model={"hidden_size": 64.0}),
+                 dict(model={"layer_norm": "no"}),
+                 dict(model={"conv_blocks": [[2.0, 3, [2, 2]], [3, 3, [4, 2]]]}),
+                 dict(decode={"max_symbols_per_frame": 2.5}),
+                 dict(paths={"manifest": 3})]:
         capsys.readouterr()
         path = write_config(tmp_path, **case)
         assert main(["--config", str(path), "verify", "--trials", "1"]) == 3, case
@@ -109,6 +118,14 @@ def test_invalid_json_exits_3(tmp_path, capsys):
 
 def test_missing_config_file_exits_2():
     assert main(["--config", "/no/such/file.json", "verify", "--trials", "1"]) == 2
+
+
+def test_verify_rejects_fewer_than_one_trial(capsys):
+    for trials in ("0", "-3"):
+        capsys.readouterr()
+        assert main(["verify", "--trials", trials]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, captured
 
 
 def test_bad_arguments_exit_4():

@@ -8,6 +8,7 @@ from linerec import decode as dc
 from linerec import model as md
 from linerec.errors import ConfigError, UsageError
 from linerec.lattice import Vocab
+from linerec.oracles import tiny_model_config
 
 
 def install_script(monkeypatch, table, k=3, emit_log=None):
@@ -140,16 +141,7 @@ def test_decode_config_validation():
 
 
 def small_model():
-    cfg = md.ModelConfig(
-        conv_blocks=[(2, 3, (2, 2)), (2, 3, (2, 1))],
-        recurrent_layers_visual=1,
-        recurrent_layers_linguistic=1,
-        hidden_size=3,
-        embed_size=3,
-        encoded_size=4,
-        vocab_size=3,
-        input_height=4,
-    )
+    cfg = tiny_model_config()
     return cfg, md.init_params(cfg, seed=13)
 
 

@@ -11,24 +11,7 @@ import pytest
 from linerec import model as md
 from linerec.errors import ConfigError, UsageError
 from linerec.lattice import Vocab, rnnt_alphabeta, rnnt_forward, rnnt_grad, rnnt_loss_brute
-
-from fd import rel_err
-
-
-def tiny_config(**overrides):
-    """Small enough for exhaustive finite differences, still uses every part."""
-    base = dict(
-        conv_blocks=[(2, 3, (2, 2)), (2, 3, (2, 1))],
-        recurrent_layers_visual=1,
-        recurrent_layers_linguistic=1,
-        hidden_size=3,
-        embed_size=3,
-        encoded_size=4,
-        vocab_size=3,
-        input_height=4,
-    )
-    base.update(overrides)
-    return md.ModelConfig(**base)
+from linerec.oracles import fd_grad, rel_err, tiny_model_config
 
 
 def full_config(**overrides):
@@ -51,19 +34,19 @@ def full_config(**overrides):
 
 def test_config_rejects_stack_that_leaves_height_above_one():
     with pytest.raises(ConfigError):
-        tiny_config(conv_blocks=[(2, 3, (2, 2))]).validate()
+        tiny_model_config(conv_blocks=[(2, 3, (2, 2))]).validate()
 
 
 def test_config_rejects_even_kernel():
     with pytest.raises(ConfigError):
-        tiny_config(conv_blocks=[(2, 4, (4, 2))]).validate()
+        tiny_model_config(conv_blocks=[(2, 4, (4, 2))]).validate()
 
 
 def test_config_rejects_bad_sizes():
     with pytest.raises(ConfigError):
-        tiny_config(vocab_size=0).validate()
+        tiny_model_config(vocab_size=0).validate()
     with pytest.raises(ConfigError):
-        tiny_config(dropout_rate=1.0).validate()
+        tiny_model_config(dropout_rate=1.0).validate()
 
 
 def test_frames_follow_ceil_of_width_over_downsample():
@@ -74,12 +57,12 @@ def test_frames_follow_ceil_of_width_over_downsample():
 
 
 def test_config_dict_roundtrip():
-    cfg = tiny_config(dropout_rate=0.25, layer_norm=True)
+    cfg = tiny_model_config(dropout_rate=0.25, layer_norm=True)
     assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_from_dict_rejects_unknown_keys():
-    d = tiny_config().to_dict()
+    d = tiny_model_config().to_dict()
     d["hidden_sizes"] = 7
     with pytest.raises(ConfigError):
         md.ModelConfig.from_dict(d)
@@ -89,10 +72,10 @@ def test_config_from_dict_rejects_unknown_keys():
 
 
 def test_init_is_deterministic_per_seed():
-    cfg = tiny_config()
-    a = md.flatten_params(md.init_params(cfg, seed=11))
-    b = md.flatten_params(md.init_params(cfg, seed=11))
-    c = md.flatten_params(md.init_params(cfg, seed=12))
+    cfg = tiny_model_config()
+    a = md.init_params(cfg, seed=11).flat
+    b = md.init_params(cfg, seed=11).flat
+    c = md.init_params(cfg, seed=12).flat
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -101,7 +84,7 @@ def test_init_is_deterministic_per_seed():
 
 
 def test_named_tensors_tile_the_flat_buffer_in_order():
-    params = md.init_params(tiny_config(layer_norm=True), seed=11)
+    params = md.init_params(tiny_model_config(layer_norm=True), seed=11)
     for p in (params, md.zero_grads_shell(params), md.clone_params(params)):
         base = p.flat.__array_interface__["data"][0]
         assert p.flat.ndim == 1 and p.flat.flags.c_contiguous
@@ -115,7 +98,7 @@ def test_named_tensors_tile_the_flat_buffer_in_order():
 
 
 def test_shells_and_clones_own_independent_buffers():
-    params = md.init_params(tiny_config(), seed=11)
+    params = md.init_params(tiny_model_config(), seed=11)
     before = params.flat.copy()
     shell, clone = md.zero_grads_shell(params), md.clone_params(params)
     assert not np.any(shell.flat)
@@ -130,7 +113,7 @@ def test_shells_and_clones_own_independent_buffers():
 
 
 def test_init_respects_documented_ranges():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=4)
     hs = cfg.hidden_size
     assert np.all(np.abs(params.embed) <= 0.1)
@@ -162,7 +145,7 @@ def test_visual_encode_shape_law(width):
 
 
 def test_visual_encode_rejects_wrong_height():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=1)
     with pytest.raises(UsageError):
         md.visual_encode(np.zeros((5, 8)), params, cfg)
@@ -171,7 +154,7 @@ def test_visual_encode_rejects_wrong_height():
 
 
 def test_visual_encode_is_deterministic_without_rng():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=2)
     image = np.random.default_rng(0).random((4, 7))
     assert np.array_equal(md.visual_encode(image, params, cfg),
@@ -179,14 +162,14 @@ def test_visual_encode_is_deterministic_without_rng():
 
 
 def test_linguistic_encode_shapes():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=3)
     assert md.linguistic_encode((), params, cfg).shape == (1, cfg.encoded_size)
     assert md.linguistic_encode((1, 2, 3), params, cfg).shape == (4, cfg.encoded_size)
 
 
 def test_linguistic_encode_rejects_blank_and_out_of_range():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=3)
     with pytest.raises(UsageError):
         md.linguistic_encode((1, 0, 2), params, cfg)
@@ -195,7 +178,7 @@ def test_linguistic_encode_rejects_blank_and_out_of_range():
 
 
 def test_linguistic_step_matches_batch_encoder():
-    cfg = tiny_config(recurrent_layers_linguistic=2)
+    cfg = tiny_model_config(recurrent_layers_linguistic=2)
     params = md.init_params(cfg, seed=5)
     labels = (2, 1, 3, 3)
     full = md.linguistic_encode(labels, params, cfg)
@@ -208,7 +191,7 @@ def test_linguistic_step_matches_batch_encoder():
 
 
 def test_linguistic_step_does_not_mutate_states():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=5)
     states = md.linguistic_start_states(cfg)
     row1, next_states = md.linguistic_step(2, states, params, cfg)
@@ -222,7 +205,7 @@ def test_linguistic_step_does_not_mutate_states():
 
 
 def test_joint_returns_log_distribution():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=6)
     rng = np.random.default_rng(1)
     out = md.joint(rng.normal(size=4), rng.normal(size=4), params)
@@ -231,7 +214,7 @@ def test_joint_returns_log_distribution():
 
 
 def test_joint_rejects_size_mismatch():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=6)
     with pytest.raises(UsageError):
         md.joint(np.zeros(3), np.zeros(4), params)
@@ -241,7 +224,7 @@ def test_joint_rejects_size_mismatch():
 
 
 def test_forward_lattice_shape_and_normalization():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=7)
     image = np.random.default_rng(2).random((4, 6))
     lattice, cache = md.forward_lattice(image, (1, 2), params, cfg)
@@ -252,12 +235,12 @@ def test_forward_lattice_shape_and_normalization():
 
 
 def test_model_loss_matches_path_enumeration():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=8)
     image = np.random.default_rng(3).random((4, 6))
     labels = (1, 2)
     lattice, _ = md.forward_lattice(image, labels, params, cfg)
-    log_prob = rnnt_forward(lattice, labels).log_prob
+    _, log_prob = rnnt_forward(lattice, labels)
     assert abs(log_prob - rnnt_loss_brute(lattice, labels)) < 1e-9
 
 
@@ -265,16 +248,16 @@ def test_model_loss_matches_path_enumeration():
 
 
 def test_zero_upstream_gradient_gives_zero_parameter_gradients():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=9)
     image = np.random.default_rng(4).random((4, 6))
     lattice, cache = md.forward_lattice(image, (1, 2), params, cfg)
     grads = md.backward_pass(np.zeros_like(lattice), cache, params, cfg)
-    assert np.all(md.flatten_params(grads) == 0.0)
+    assert np.all(grads.flat == 0.0)
 
 
 def test_backward_rejects_mismatched_gradient_shape():
-    cfg = tiny_config()
+    cfg = tiny_model_config()
     params = md.init_params(cfg, seed=9)
     image = np.random.default_rng(4).random((4, 6))
     lattice, cache = md.forward_lattice(image, (1,), params, cfg)
@@ -282,17 +265,26 @@ def test_backward_rejects_mismatched_gradient_shape():
         md.backward_pass(np.zeros((1, 1, 4)), cache, params, cfg)
 
 
-def _loss_and_flat_grad(image, labels, params, cfg, mask_seed):
-    rng = np.random.default_rng(mask_seed) if cfg.dropout_rate > 0 else None
-    lattice, cache = md.forward_lattice(image, labels, params, cfg, rng=rng)
-    tables = rnnt_alphabeta(lattice, labels)
-    grads = md.backward_pass(rnnt_grad(lattice, labels, tables), cache, params, cfg)
-    return -tables.log_prob, md.flatten_params(grads)
+def model_gradient_error(image, labels, params, cfg, mask_seed=None):
+    """rel_err of the whole-network parameter gradient against central
+    differences; ``mask_seed`` fixes the dropout masks at every evaluation."""
+
+    def forward(flat):
+        p = md.clone_params(params)
+        p.flat[...] = flat
+        rng = np.random.default_rng(mask_seed) if cfg.dropout_rate > 0 else None
+        return (*md.forward_lattice(image, labels, p, cfg, rng=rng), p)
+
+    lattice, cache, p = forward(params.flat)
+    grad_lattice = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+    analytic = md.backward_pass(grad_lattice, cache, p, cfg).flat
+    numeric = fd_grad(lambda v: -rnnt_forward(forward(v)[0], labels)[1], params.flat)
+    return rel_err(analytic, numeric)
 
 
 @pytest.mark.parametrize("dropout,use_ln,seed", [(0.0, False, 3), (0.5, True, 5)])
 def test_whole_network_gradient_matches_finite_differences(dropout, use_ln, seed):
-    cfg = tiny_config(dropout_rate=dropout, layer_norm=use_ln)
+    cfg = tiny_model_config(dropout_rate=dropout, layer_norm=use_ln)
     params = md.init_params(cfg, seed=seed)
     image = np.random.default_rng(seed + 100).random((4, 6))
     labels = (1, 2)
@@ -305,28 +297,14 @@ def test_whole_network_gradient_matches_finite_differences(dropout, use_ln, seed
     for blk in cache.visual.blocks:
         assert np.min(np.abs(blk.post_norm)) > 1e-4
 
-    _, analytic = _loss_and_flat_grad(image, labels, params, cfg, mask_seed)
-    flat = md.flatten_params(params)
-    numeric = np.empty_like(flat)
-    h = 1e-5
-    for i in range(flat.size):
-        probe = flat.copy()
-        probe[i] = flat[i] + h
-        md.set_flat_params(params, probe)
-        up, _ = _loss_and_flat_grad(image, labels, params, cfg, mask_seed)
-        probe[i] = flat[i] - h
-        md.set_flat_params(params, probe)
-        down, _ = _loss_and_flat_grad(image, labels, params, cfg, mask_seed)
-        numeric[i] = (up - down) / (2 * h)
-    md.set_flat_params(params, flat)
-    assert rel_err(analytic, numeric) < 1e-4
+    assert model_gradient_error(image, labels, params, cfg, mask_seed) < 1e-4
 
 
 # --- checkpoint ------------------------------------------------------------------
 
 
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
-    cfg = tiny_config(layer_norm=True)
+    cfg = tiny_model_config(layer_norm=True)
     vocab = Vocab(("a", "b", "c"))
     params = md.init_params(cfg, seed=21)
     path = tmp_path / "model.ckpt"
@@ -334,7 +312,7 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     cfg2, vocab2, params2 = md.load_checkpoint(path)
     assert cfg2 == cfg
     assert vocab2 == vocab
-    assert np.array_equal(md.flatten_params(params2), md.flatten_params(params))
+    assert np.array_equal(params2.flat, params.flat)
 
 
 def test_committed_checkpoint_reloads_to_the_same_bytes(tmp_path):
@@ -346,8 +324,8 @@ def test_committed_checkpoint_reloads_to_the_same_bytes(tmp_path):
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "model.ckpt"
-    md.save_checkpoint(path, tiny_config(), Vocab(("a", "b", "c")),
-                       md.init_params(tiny_config(), seed=1))
+    md.save_checkpoint(path, tiny_model_config(), Vocab(("a", "b", "c")),
+                       md.init_params(tiny_model_config(), seed=1))
     blob = bytearray(path.read_bytes())
     blob[0] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -357,8 +335,8 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
 
 def test_checkpoint_rejects_truncation(tmp_path):
     path = tmp_path / "model.ckpt"
-    md.save_checkpoint(path, tiny_config(), Vocab(("a", "b", "c")),
-                       md.init_params(tiny_config(), seed=1))
+    md.save_checkpoint(path, tiny_model_config(), Vocab(("a", "b", "c")),
+                       md.init_params(tiny_model_config(), seed=1))
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 16])
     with pytest.raises(ConfigError):
@@ -367,16 +345,10 @@ def test_checkpoint_rejects_truncation(tmp_path):
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.ckpt"
-    md.save_checkpoint(path, tiny_config(), Vocab(("a", "b", "c")),
-                       md.init_params(tiny_config(), seed=1))
+    md.save_checkpoint(path, tiny_model_config(), Vocab(("a", "b", "c")),
+                       md.init_params(tiny_model_config(), seed=1))
     blob = bytearray(path.read_bytes())
     blob[8] = 99
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError):
         md.load_checkpoint(path)
-
-
-def test_set_flat_params_rejects_wrong_length():
-    params = md.init_params(tiny_config(), seed=1)
-    with pytest.raises(UsageError):
-        md.set_flat_params(params, np.zeros(3))

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from linerec import numerics as nm
 from linerec.errors import UsageError
-
-from fd import fd_grad, rel_err
+from linerec.oracles import fd_grad, rel_err
 
 
 # --- logsumexp ---------------------------------------------------------------

@@ -13,8 +13,7 @@ from linerec import train as tr
 from linerec.errors import ConfigError, TrainingError, UsageError
 from linerec.lattice import Vocab
 from linerec.model import load_checkpoint
-
-from fd import rel_err
+from linerec.oracles import rel_err, tiny_model_config
 
 
 # --- learning-rate schedule ----------------------------------------------------
@@ -84,25 +83,16 @@ def test_train_config_validation():
 
 
 def doll_params():
-    cfg = md.ModelConfig(
-        conv_blocks=[(2, 3, (2, 2)), (2, 3, (2, 1))],
-        recurrent_layers_visual=1,
-        recurrent_layers_linguistic=1,
-        hidden_size=3,
-        embed_size=3,
-        encoded_size=4,
-        vocab_size=3,
-        input_height=4,
-    )
+    cfg = tiny_model_config()
     return cfg, md.init_params(cfg, seed=31)
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
     _, params = doll_params()
-    before = md.flatten_params(params).copy()
+    before = params.flat.copy()
     opt = tr.init_opt_state(params)
     tr.adam_step(params, md.zero_grads_shell(params), opt, lr=1e-3)
-    assert np.array_equal(md.flatten_params(params), before)
+    assert np.array_equal(params.flat, before)
     assert opt.step == 1
 
 
@@ -118,9 +108,8 @@ def test_adam_single_scalar_step_matches_hand_formula():
     expect = 1e-3 * (m / 0.1) / (math.sqrt(v / 0.001) + 1e-8)
     assert abs((before - params.embed[0, 0]) - expect) < 1e-15
     # nothing else moves
-    flat_g = md.flatten_params(grads)
-    moved = md.flatten_params(md.init_params(doll_params()[0], seed=31)) - md.flatten_params(params)
-    assert np.count_nonzero(moved) == np.count_nonzero(flat_g) == 1
+    moved = md.init_params(doll_params()[0], seed=31).flat - params.flat
+    assert np.count_nonzero(moved) == np.count_nonzero(grads.flat) == 1
 
 
 def test_adam_clips_by_global_norm_before_updating():
