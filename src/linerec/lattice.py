@@ -9,6 +9,12 @@ label sequence is the sum of path probabilities over all such alignments;
 the forward/backward recurrences below compute it in O(T*U) and are
 validated against full enumeration, never trusted on their own.
 
+Both passes run as an anti-diagonal wavefront (Graves 2012, arXiv 1211.3711):
+the nodes with t+u = n depend only on diagonal n-1, so each diagonal is one
+vector step. Every node runs the scalar recurrence's adds and logaddexp in the
+same operand order, and logaddexp(x, -inf) is exactly x, so the results are
+bitwise equal to the node-by-node recurrence.
+
 Indexing is zero-based throughout: t in [0, T), u in [0, U].
 """
 
@@ -159,49 +165,62 @@ def _transition_slices(lattice: np.ndarray, labels):
     return blank, label
 
 
+def _diagonal_transitions(lattice: np.ndarray, labels):
+    """(blank, label) transition log-probs in diagonal-major form, shapes
+    (T+U, U+1) and (T+U, U): row n, column u holds the transitions leaving
+    node (n-u, u), and -inf where that node is off the lattice."""
+    _check_labels(lattice, labels)
+    t_total, rows = lattice.shape[0], lattice.shape[1]
+    padded = np.full((t_total + 2 * rows - 2, 2 * rows - 1), NEG_INF)
+    padded[rows - 1 : rows - 1 + t_total] = np.concatenate(
+        _transition_slices(lattice, labels), axis=1
+    )
+    u = np.concatenate([np.arange(rows), np.arange(rows - 1)])
+    n = np.arange(t_total + rows - 1)[:, None]
+    skew = padded[rows - 1 + n - u, np.arange(2 * rows - 1)]
+    return skew[:, :rows], skew[:, rows:]
+
+
+def _unskewed(skew: np.ndarray, t_total: int) -> np.ndarray:
+    """The (T, U+1) table back from its diagonal-major form."""
+    u = np.arange(skew.shape[1])
+    return skew[np.arange(t_total)[:, None] + u, u]
+
+
 def rnnt_forward(lattice: np.ndarray, labels) -> tuple[np.ndarray, float]:
     """Forward pass: alpha[t, u] = log-mass of consuming t frames, emitting u labels.
 
     alpha[0, 0] = 0, alpha[t][u] = LSE(alpha[t-1][u] + blank(t-1, u),
     alpha[t][u-1] + label(t, u-1)); log Pr = alpha[T-1][U] + blank(T-1, U).
     """
-    labels = tuple(labels)
-    _check_labels(lattice, labels)
-    t_total, rows = lattice.shape[0], lattice.shape[1]
-    blank, label = _transition_slices(lattice, labels)
-    alpha = np.full((t_total, rows), NEG_INF)
+    blank, label = _diagonal_transitions(lattice, tuple(labels))
+    diagonals, rows = blank.shape
+    alpha = np.full((diagonals, rows), NEG_INF)
     alpha[0, 0] = 0.0
-    for u in range(1, rows):
-        alpha[0, u] = alpha[0, u - 1] + label[0, u - 1]
-    for t in range(1, t_total):
-        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
-        for u in range(1, rows):
-            alpha[t, u] = np.logaddexp(
-                alpha[t - 1, u] + blank[t - 1, u], alpha[t, u - 1] + label[t, u - 1]
-            )
-    log_prob = float(alpha[t_total - 1, rows - 1] + blank[t_total - 1, rows - 1])
-    return alpha, log_prob
+    stay, move = np.empty(rows), np.full(rows, NEG_INF)  # move[0]: no label enters u=0
+    for n in range(1, diagonals):
+        np.add(alpha[n - 1], blank[n - 1], out=stay)
+        np.add(alpha[n - 1, :-1], label[n - 1], out=move[1:])
+        np.logaddexp(stay, move, out=alpha[n])
+    return _unskewed(alpha, lattice.shape[0]), float(alpha[-1, -1] + blank[-1, -1])
 
 
 def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
     """Backward pass: beta[t, u] = log-mass of completions from (t, u),
     including the terminal blank; beta[0, 0] equals the total log-probability.
+    beta[T-1][U] = blank(T-1, U), beta[t][u] = LSE(beta[t+1][u] + blank(t, u),
+    beta[t][u+1] + label(t, u)).
     """
-    labels = tuple(labels)
-    _check_labels(lattice, labels)
-    t_total, rows = lattice.shape[0], lattice.shape[1]
-    blank, label = _transition_slices(lattice, labels)
-    beta = np.full((t_total, rows), NEG_INF)
-    beta[t_total - 1, rows - 1] = blank[t_total - 1, rows - 1]
-    for u in range(rows - 2, -1, -1):
-        beta[t_total - 1, u] = beta[t_total - 1, u + 1] + label[t_total - 1, u]
-    for t in range(t_total - 2, -1, -1):
-        beta[t, rows - 1] = beta[t + 1, rows - 1] + blank[t, rows - 1]
-        for u in range(rows - 2, -1, -1):
-            beta[t, u] = np.logaddexp(
-                beta[t + 1, u] + blank[t, u], beta[t, u + 1] + label[t, u]
-            )
-    return beta
+    blank, label = _diagonal_transitions(lattice, tuple(labels))
+    diagonals, rows = blank.shape
+    beta = np.full((diagonals, rows), NEG_INF)
+    beta[-1, -1] = blank[-1, -1]
+    stay, move = np.empty(rows), np.full(rows, NEG_INF)  # move[U]: no label leaves u=U
+    for n in range(diagonals - 2, -1, -1):
+        np.add(beta[n + 1], blank[n], out=stay)
+        np.add(beta[n + 1, 1:], label[n], out=move[:-1])
+        np.logaddexp(stay, move, out=beta[n])
+    return _unskewed(beta, lattice.shape[0])
 
 
 def rnnt_alphabeta(lattice: np.ndarray, labels) -> AlphaBetaTables:
@@ -233,8 +252,7 @@ def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables) -> np.ndarra
         gamma_label = np.exp(
             tables.alpha[:, :-1] + label + tables.beta[:, 1:] - tables.log_prob
         )
-        for u, lab in enumerate(labels):
-            grad[:, u, lab] = -gamma_label[:, u]
+        grad[:, np.arange(len(labels)), list(labels)] = -gamma_label
     return grad
 
 

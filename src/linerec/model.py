@@ -13,6 +13,7 @@ the parameter buffer.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -64,7 +65,11 @@ class ModelConfig(ConfigSection):
 
     def __post_init__(self):
         # JSON gives lists; tuples keep configs equal to the tuple-built presets
-        self.conv_blocks = [(b[0], b[1], (b[2][0], b[2][1])) for b in self.conv_blocks]
+        try:
+            self.conv_blocks = [(c, k, (ph, pw)) for c, k, (ph, pw) in self.conv_blocks]
+        except (TypeError, ValueError):
+            raise ConfigError(f"conv_blocks {self.conv_blocks!r} must each be "
+                              "[channels, kernel, [pool_h, pool_w]]") from None
 
     def validate(self) -> None:
         counts = (
@@ -340,18 +345,24 @@ def _run_lstm(seq: np.ndarray, p: LstmParams, rng, rate: float, reverse: bool):
 def _run_lstm_backward(
     grad_out: np.ndarray, run: LstmRunCache, p: LstmParams, grads: LstmParams, reverse: bool
 ) -> np.ndarray:
-    """BPTT over one scan; returns the gradient wrt the input sequence."""
+    """BPTT over one scan; returns the gradient wrt the input sequence.
+
+    The steps yield the pre-activation gradients dz one by one; the weight and
+    input gradients are then one GEMM each over the stacked rows (scan order).
+    """
     n = len(run.steps)
-    grad_seq = np.zeros((n, p.w_x.shape[1]))
+    dz = np.empty((n, 4 * p.hidden_size))
     order = range(n - 1, -1, -1) if reverse else range(n)
     dh = np.zeros(p.hidden_size)
     dc = np.zeros(p.hidden_size)
     # run.steps was appended in scan order; walk it backwards
     for i in reversed(range(n)):
-        t = order[i]
-        dx, dh, dc = lstm_step_backward(grad_out[t] + dh, dc, run.steps[i], p, grads)
-        grad_seq[t] = dx
-    return grad_seq
+        dz[i], dh, dc = lstm_step_backward(grad_out[order[i]] + dh, dc, run.steps[i], p, grads)
+    grads.w_x += dz.T @ np.array([s.x for s in run.steps])
+    grads.w_h += dz.T @ np.array([s.h_used for s in run.steps])
+    grads.b += dz.sum(axis=0)
+    grad_seq = dz @ p.w_x
+    return grad_seq[::-1] if reverse else grad_seq
 
 
 def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig):
@@ -551,9 +562,14 @@ def backward_pass(grad_lattice: np.ndarray, cache: ForwardCache,
         raise UsageError("cache does not belong to these parameters")
     grads = zero_grads_shell(params)
     d_logits = log_softmax_backward(grad_lattice, cache.lattice)
-    grads.joint_w += np.einsum("tuk,tue->ke", d_logits, cache.tanh_joint)
-    dv = np.einsum("tuk,ke->tue", d_logits, params.joint_w)
-    ds = dv * (1.0 - cache.tanh_joint**2)
+    # the joint as GEMMs over the T*(U+1) lattice nodes
+    t_total, rows, enc = cache.tanh_joint.shape
+    d2 = d_logits.reshape(t_total * rows, -1)
+    v = cache.tanh_joint.reshape(t_total * rows, enc)
+    grads.joint_w += d2.T @ v
+    ds = d2 @ params.joint_w
+    ds *= 1.0 - v * v
+    ds = ds.reshape(t_total, rows, enc)
     grads.joint_bias += ds.sum(axis=(0, 1))
     _visual_backward(ds.sum(axis=1), cache.visual, params, config, grads)
     _linguistic_backward(ds.sum(axis=0), cache.linguistic, params, config, grads)
@@ -575,6 +591,20 @@ def backward_pass(grad_lattice: np.ndarray, cache: ForwardCache,
 # The README repeats this so non-Python readers can parse it.
 
 
+def write_atomically(path, write) -> None:
+    """Calls ``write(fh)`` on a temporary file beside ``path``, then renames it
+    over ``path``: a failure leaves ``path`` as it was and no temporary file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, config: ModelConfig, vocab: Vocab, params: ModelParams) -> None:
     header = json.dumps(
         {
@@ -584,11 +614,14 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocab, params: ModelParams
         },
         ensure_ascii=False,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
         fh.write(params.flat.astype("<f8", copy=False).tobytes())
+
+    write_atomically(path, write)
 
 
 def load_checkpoint(path):

@@ -325,12 +325,15 @@ def lstm_step_backward(
     params: LstmParams,
     grads: LstmParams,
 ):
-    """Backward through one step. Returns (grad_x, grad_h_prev, grad_c_prev).
+    """Backward through one step. Returns (dz, grad_h_prev, grad_c_prev).
 
     ``grad_h``/``grad_c`` are the gradients arriving at this step's output
-    and cell (the latter accumulated from the future). Parameter gradients
-    are accumulated into ``grads`` in place, so one container serves a whole
-    unrolled sequence.
+    and cell (the latter accumulated from the future). ``dz`` is the (4H,)
+    gradient at the stacked pre-activation w_x @ x + w_h @ h_used + b, after
+    any gate layer-norm backward. The gate layer-norm gain/shift gradients are
+    accumulated into ``grads`` in place; the caller owns w_x, w_h, b and the
+    input gradient, which over a whole scan are dZ.T @ X, dZ.T @ H_used,
+    the column sums of dZ, and dZ @ w_x for the row-stacked dz of every step.
     """
     i, f, g, o = cache.gates
     dz = np.empty_like(cache.gates)
@@ -343,13 +346,8 @@ def lstm_step_backward(
         dz, dgain, dshift = layer_norm_backward(dz, cache.z_raw, params.ln_gain)
         grads.ln_gain += dgain
         grads.ln_shift += dshift
-    dz_flat = dz.reshape(-1)
-    grads.w_x += np.outer(dz_flat, cache.x)
-    grads.w_h += np.outer(dz_flat, cache.h_used)
-    grads.b += dz_flat
-    grad_x = params.w_x.T @ dz_flat
-    grad_h_prev = params.w_h.T @ dz_flat
+    dz = dz.reshape(-1)
+    grad_h_prev = params.w_h.T @ dz
     if cache.rec_mask is not None:
         grad_h_prev = grad_h_prev * cache.rec_mask
-    grad_c_prev = dc * f
-    return grad_x, grad_h_prev, grad_c_prev
+    return dz, grad_h_prev, dc * f

@@ -11,7 +11,6 @@ with a fixed seed it is bitwise reproducible.
 from __future__ import annotations
 
 import math
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +29,7 @@ from .model import (
     init_params,
     named_arrays,
     save_checkpoint,
+    write_atomically,
     zero_grads_shell,
 )
 
@@ -309,7 +309,8 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
                 best_cer, best_epoch = val, epoch
 
     best_path = ckpt_dir / "best.ckpt"
-    shutil.copyfile(checkpoint_paths[best_epoch - 1], best_path)
+    best_bytes = checkpoint_paths[best_epoch - 1].read_bytes()
+    write_atomically(best_path, lambda fh: fh.write(best_bytes))
     return TrainResult(params=params, best_epoch=best_epoch, best_val_cer=best_cer,
                        metrics=metrics, checkpoint_paths=checkpoint_paths,
                        best_path=best_path, metrics_path=metrics_path)

@@ -107,6 +107,8 @@ def test_invalid_json_exits_3(tmp_path, capsys):
                  dict(model={"hidden_size": 64.0}),
                  dict(model={"layer_norm": "no"}),
                  dict(model={"conv_blocks": [[2.0, 3, [2, 2]], [3, 3, [4, 2]]]}),
+                 dict(model={"conv_blocks": [[2, 3, [2, 2], 5], [3, 3, [4, 2]]]}),
+                 dict(model={"conv_blocks": [[2, 3, [2, 2]], [3, 3, [4, 2, 9]]]}),
                  dict(decode={"max_symbols_per_frame": 2.5}),
                  dict(paths={"manifest": 3})]:
         capsys.readouterr()
@@ -294,6 +296,8 @@ CORRUPTIONS = {
     "header_missing_a_key": lambda blob: _rewrite_header(blob, lambda h: h.pop("charset")),
     "tensors_not_a_list": lambda blob: _rewrite_header(blob, lambda h: h.update(tensors=7)),
     "trailing_bytes": lambda blob: blob + bytes(8),
+    "conv_block_with_extra_entry": lambda blob: _rewrite_header(
+        blob, lambda h: h["config"]["conv_blocks"][0].append(5)),
 }
 
 

@@ -198,6 +198,51 @@ def test_backward_terminal_blank():
     assert lt.rnnt_backward(lat, ())[0, 0] == pytest.approx(lat[0, 0, 0], abs=1e-12)
 
 
+def scalar_alpha_beta(lat, labels):
+    """The node-by-node recurrences, one scalar logaddexp per node: the
+    reference the anti-diagonal passes must reproduce bit for bit."""
+    t_total, rows = lat.shape[0], lat.shape[1]
+    blank = lat[:, :, 0]
+
+    def label(t, u):
+        return lat[t, u, labels[u]]
+
+    alpha = np.full((t_total, rows), -np.inf)
+    alpha[0, 0] = 0.0
+    for u in range(1, rows):
+        alpha[0, u] = alpha[0, u - 1] + label(0, u - 1)
+    for t in range(1, t_total):
+        alpha[t, 0] = alpha[t - 1, 0] + blank[t - 1, 0]
+        for u in range(1, rows):
+            alpha[t, u] = np.logaddexp(alpha[t - 1, u] + blank[t - 1, u],
+                                       alpha[t, u - 1] + label(t, u - 1))
+    beta = np.full((t_total, rows), -np.inf)
+    beta[-1, -1] = blank[-1, -1]
+    for u in range(rows - 2, -1, -1):
+        beta[-1, u] = beta[-1, u + 1] + label(t_total - 1, u)
+    for t in range(t_total - 2, -1, -1):
+        beta[t, -1] = beta[t + 1, -1] + blank[t, -1]
+        for u in range(rows - 2, -1, -1):
+            beta[t, u] = np.logaddexp(beta[t + 1, u] + blank[t, u], beta[t, u + 1] + label(t, u))
+    return alpha, beta, float(alpha[-1, -1] + blank[-1, -1])
+
+
+@pytest.mark.parametrize("t,u,k", [(1, 0, 3), (1, 3, 4), (3, 7, 5), (6, 4, 1), (11, 5, 12),
+                                   (145, 60, 80)])
+def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
+    rng = np.random.default_rng(1000 * t + u)
+    lat = lt.random_lattice(rng, t, u, k)
+    labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
+    alpha, beta, log_prob = scalar_alpha_beta(lat, labels)
+    fwd_alpha, fwd_log_prob = lt.rnnt_forward(lat, labels)
+    tables = lt.rnnt_alphabeta(lat, labels)
+    for got in (fwd_alpha, tables.alpha):
+        assert np.array_equal(got, alpha)
+    for got in (lt.rnnt_backward(lat, labels), tables.beta):
+        assert np.array_equal(got, beta)
+    assert fwd_log_prob == log_prob and tables.log_prob == log_prob
+
+
 # --- gradients -----------------------------------------------------------------------------
 
 

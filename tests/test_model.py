@@ -265,6 +265,65 @@ def test_backward_rejects_mismatched_gradient_shape():
         md.backward_pass(np.zeros((1, 1, 4)), cache, params, cfg)
 
 
+def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=10)
+    image = np.random.default_rng(5).random((4, 14))
+    labels = (1, 2, 3, 1)
+    lattice, cache = md.forward_lattice(image, labels, params, cfg)
+    grad_lattice = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+    seen = {}
+    for name in ("_visual_backward", "_linguistic_backward"):
+        monkeypatch.setattr(md, name, lambda g, *rest, name=name: seen.setdefault(name, g))
+    grads = md.backward_pass(grad_lattice, cache, params, cfg)
+
+    d_logits = md.log_softmax_backward(grad_lattice, cache.lattice)
+    v = cache.tanh_joint
+    ds = np.einsum("tuk,ke->tue", d_logits, params.joint_w) * (1.0 - v**2)
+    assert rel_err(grads.joint_w, np.einsum("tuk,tue->ke", d_logits, v)) <= 1e-12
+    assert rel_err(grads.joint_bias, ds.sum(axis=(0, 1))) <= 1e-12
+    assert rel_err(seen["_visual_backward"], ds.sum(axis=1)) <= 1e-12
+    assert rel_err(seen["_linguistic_backward"], ds.sum(axis=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("layer_norm", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+def test_hoisted_bptt_matches_per_step_accumulation(reverse, layer_norm, dropout):
+    """One GEMM per scan for w_x, w_h, b and the input gradient equals summing
+    outer products step by step."""
+    cfg = tiny_model_config(layer_norm=layer_norm)
+    p = md.init_params(cfg, seed=12).vis_rnn[0].fwd
+    rng = np.random.default_rng(13)
+    seq = rng.normal(size=(9, p.w_x.shape[1]))
+    grad_out = rng.normal(size=(9, p.hidden_size))
+    _, run = md._run_lstm(seq, p, np.random.default_rng(14), dropout, reverse=reverse)
+
+    def shell():
+        return md.zero_grads_shell(md.init_params(cfg, seed=12)).vis_rnn[0].fwd
+
+    hoisted = shell()
+    grad_seq = md._run_lstm_backward(grad_out, run, p, hoisted, reverse=reverse)
+
+    ref, ref_seq = shell(), np.zeros_like(seq)
+    order = list(range(len(seq)))[::-1] if reverse else list(range(len(seq)))
+    dh = dc = np.zeros(p.hidden_size)
+    for i in reversed(range(len(seq))):
+        step = run.steps[i]
+        dz, dh, dc = md.lstm_step_backward(grad_out[order[i]] + dh, dc, step, p, ref)
+        ref.w_x += np.outer(dz, step.x)
+        ref.w_h += np.outer(dz, step.h_used)
+        ref.b += dz
+        ref_seq[order[i]] = p.w_x.T @ dz
+    assert (run.rec_mask is not None) == (dropout > 0)
+    for name in ("w_x", "w_h", "b", "ln_gain", "ln_shift"):
+        got, want = getattr(hoisted, name), getattr(ref, name)
+        assert (got is None) == (not layer_norm and name.startswith("ln"))
+        if got is not None:
+            assert rel_err(got, want) <= 1e-12, name
+    assert rel_err(grad_seq, ref_seq) <= 1e-12
+
+
 def model_gradient_error(image, labels, params, cfg, mask_seed=None):
     """rel_err of the whole-network parameter gradient against central
     differences; ``mask_seed`` fixes the dropout masks at every evaluation."""
@@ -320,6 +379,31 @@ def test_committed_checkpoint_reloads_to_the_same_bytes(tmp_path):
     copy = tmp_path / "again.ckpt"
     md.save_checkpoint(copy, *md.load_checkpoint(committed))
     assert copy.read_bytes() == committed.read_bytes()
+
+
+class _FailingPayload:
+    def astype(self, *args, **kwargs):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["payload", "rename"])
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, failure):
+    cfg, vocab = tiny_model_config(), Vocab(("a", "b", "c"))
+    params = md.init_params(cfg, seed=1)
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, cfg, vocab, params)
+    before = path.read_bytes()
+    other = md.init_params(cfg, seed=2)
+    if failure == "payload":  # header already written to the temporary file
+        other.flat = _FailingPayload()
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(md.os, "replace", refuse)
+    with pytest.raises(OSError):
+        md.save_checkpoint(path, cfg, vocab, other)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

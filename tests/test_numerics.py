@@ -341,10 +341,15 @@ def test_lstm_bptt_matches_fd(layer_norm, dropout_mask):
         _, state, cache = nm.lstm_step_cached(xs[t], state, params, rec_mask=mask)
         caches.append(cache)
     grads = _unpack_lstm(np.zeros_like(_pack_lstm(params)), params)
+    dz = np.empty((steps, 4 * hs))
     dh = np.zeros(hs)
     dc = np.zeros(hs)
     for t in reversed(range(steps)):
-        _, dh, dc = nm.lstm_step_backward(readout[t] + dh, dc, caches[t], params, grads)
+        dz[t], dh, dc = nm.lstm_step_backward(readout[t] + dh, dc, caches[t], params, grads)
+    # the step returns the pre-activation gradient; the weights are ours to sum
+    grads.w_x += dz.T @ xs
+    grads.w_h += dz.T @ np.array([c.h_used for c in caches])
+    grads.b += dz.sum(axis=0)
 
     fd = fd_grad(lambda v: loss_from(_unpack_lstm(v, params)), _pack_lstm(params))
     assert rel_err(_pack_lstm(grads), fd) < 1e-6
