@@ -296,6 +296,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_run_config(args.config)
         if args.command == "synth":
             seed = args.seed if args.seed is not None else cfg.train.seed

@@ -348,4 +348,6 @@ def load_manifest(path, vocab: Vocab | None = None) -> list:
             if bad is not None:
                 raise DataError(f"{path} row {n}: character {bad!r} not in charset")
         samples.append(LineSample(read_image(img_path), transcript, direction))
+    if not samples:
+        raise DataError(f"{path}: manifest has no rows")
     return samples

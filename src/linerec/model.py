@@ -60,6 +60,7 @@ class ModelConfig(ConfigSection):
     encoded_size: int
     vocab_size: int
     input_height: int
+    # one legal value each (the plain LSTM); kept so existing configs and checkpoints load
     dropout_rate: float = 0.0
     layer_norm: bool = False
 
@@ -83,8 +84,9 @@ class ModelConfig(ConfigSection):
         )
         if any(c < 1 for c in counts):
             raise ConfigError(f"all size fields must be >= 1, got {counts}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
+        if self.dropout_rate != 0.0 or self.layer_norm:
+            raise ConfigError("dropout_rate must be 0 and layer_norm false (plain LSTM), "
+                              f"got {self.dropout_rate} and {json.dumps(self.layer_norm)}")
         if not self.conv_blocks:
             raise ConfigError("need at least one conv block")
         h = self.input_height
@@ -158,9 +160,6 @@ def _lstm_named(prefix: str, p: LstmParams):
     yield f"{prefix}.w_x", p.w_x
     yield f"{prefix}.w_h", p.w_h
     yield f"{prefix}.b", p.b
-    if p.ln_gain is not None:
-        yield f"{prefix}.ln_gain", p.ln_gain
-        yield f"{prefix}.ln_shift", p.ln_shift
 
 
 def named_arrays(params: ModelParams):
@@ -196,8 +195,7 @@ def _on_buffer(params: ModelParams, flat: np.ndarray) -> ModelParams:
         return views[id(a)]
 
     def lstm(p: LstmParams) -> LstmParams:
-        ln = (None, None) if p.ln_gain is None else (f(p.ln_gain), f(p.ln_shift))
-        return LstmParams(f(p.w_x), f(p.w_h), f(p.b), *ln)
+        return LstmParams(f(p.w_x), f(p.w_h), f(p.b))
 
     return ModelParams(
         conv=[ConvBlockParams(f(b.w), f(b.b), f(b.gain), f(b.shift)) for b in params.conv],
@@ -231,18 +229,14 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_lstm(rng, n_in: int, hidden: int, with_ln: bool) -> LstmParams:
+def _init_lstm(rng, n_in: int, hidden: int) -> LstmParams:
     b = np.zeros(4 * hidden)
     b[hidden : 2 * hidden] = 1.0  # forget gate opens at init
-    p = LstmParams(
+    return LstmParams(
         w_x=_glorot(rng, (4 * hidden, n_in)),
         w_h=_glorot(rng, (4 * hidden, hidden)),
         b=b,
     )
-    if with_ln:
-        p.ln_gain = np.ones((4, hidden))
-        p.ln_shift = np.zeros((4, hidden))
-    return p
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -267,8 +261,8 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     for _ in range(config.recurrent_layers_visual):
         vis_rnn.append(
             BiLstmParams(
-                fwd=_init_lstm(rng, n_in, hs, config.layer_norm),
-                bwd=_init_lstm(rng, n_in, hs, config.layer_norm),
+                fwd=_init_lstm(rng, n_in, hs),
+                bwd=_init_lstm(rng, n_in, hs),
             )
         )
         n_in = 2 * hs
@@ -278,7 +272,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     lm_rnn = []
     n_in = config.embed_size
     for _ in range(config.recurrent_layers_linguistic):
-        lm_rnn.append(_init_lstm(rng, n_in, hs, config.layer_norm))
+        lm_rnn.append(_init_lstm(rng, n_in, hs))
         n_in = hs
     lm_proj = AffineParams(w=_glorot(rng, (config.encoded_size, hs)),
                            b=np.zeros(config.encoded_size))
@@ -312,7 +306,6 @@ class ConvBlockCache:
 class LstmRunCache:
     steps: list  # [LstmStepCache], in scan order
     outs: np.ndarray  # (T, H), indexed by sequence position
-    rec_mask: np.ndarray | None
 
 
 @dataclass
@@ -323,23 +316,16 @@ class VisualCache:
     rnn_out: np.ndarray  # (T, 2H)
 
 
-def _sample_mask(rng, rate: float, size: int):
-    if rng is None or rate <= 0.0:
-        return None
-    return (rng.random(size) >= rate).astype(np.float64) / (1.0 - rate)
-
-
-def _run_lstm(seq: np.ndarray, p: LstmParams, rng, rate: float, reverse: bool):
-    mask = _sample_mask(rng, rate, p.hidden_size)
+def _run_lstm(seq: np.ndarray, p: LstmParams, reverse: bool):
     state = lstm_zero_state(p.hidden_size)
     order = range(len(seq) - 1, -1, -1) if reverse else range(len(seq))
     outs = np.empty((len(seq), p.hidden_size))
     steps = []
     for t in order:
-        h, state, cache = lstm_step_cached(seq[t], state, p, rec_mask=mask)
+        h, state, cache = lstm_step_cached(seq[t], state, p)
         outs[t] = h
         steps.append(cache)
-    return outs, LstmRunCache(steps, outs, mask)
+    return outs, LstmRunCache(steps, outs)
 
 
 def _run_lstm_backward(
@@ -357,9 +343,9 @@ def _run_lstm_backward(
     dc = np.zeros(p.hidden_size)
     # run.steps was appended in scan order; walk it backwards
     for i in reversed(range(n)):
-        dz[i], dh, dc = lstm_step_backward(grad_out[order[i]] + dh, dc, run.steps[i], p, grads)
+        dz[i], dh, dc = lstm_step_backward(grad_out[order[i]] + dh, dc, run.steps[i], p)
     grads.w_x += dz.T @ np.array([s.x for s in run.steps])
-    grads.w_h += dz.T @ np.array([s.h_used for s in run.steps])
+    grads.w_h += dz.T @ np.array([s.h_prev for s in run.steps])
     grads.b += dz.sum(axis=0)
     grad_seq = dz @ p.w_x
     return grad_seq[::-1] if reverse else grad_seq
@@ -380,12 +366,8 @@ def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig):
     return x[:, 0, :].T, blocks
 
 
-def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelConfig,
-                         rng=None):
-    """Image -> feature sequence (T, encoded_size), keeping backward caches.
-
-    ``rng`` enables variational recurrent dropout (training only).
-    """
+def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelConfig):
+    """Image -> feature sequence (T, encoded_size), keeping backward caches."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.shape[0] != config.input_height or image.shape[1] < 1:
         raise UsageError(
@@ -395,8 +377,8 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
     seq = columns
     runs = []
     for bi in params.vis_rnn:
-        out_f, run_f = _run_lstm(seq, bi.fwd, rng, config.dropout_rate, reverse=False)
-        out_b, run_b = _run_lstm(seq, bi.bwd, rng, config.dropout_rate, reverse=True)
+        out_f, run_f = _run_lstm(seq, bi.fwd, reverse=False)
+        out_b, run_b = _run_lstm(seq, bi.bwd, reverse=True)
         runs.append((run_f, run_b))
         seq = np.concatenate([out_f, out_b], axis=1)
     feats = affine_forward(seq, params.vis_proj.w, params.vis_proj.b)
@@ -404,8 +386,8 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
 
 
 def visual_encode(image, params, config) -> np.ndarray:
-    """Inference-side encoder: no dropout, no caches."""
-    feats, _ = visual_encode_cached(image, params, config, rng=None)
+    """visual_encode_cached with the backward caches dropped."""
+    feats, _ = visual_encode_cached(image, params, config)
     return feats
 
 
@@ -458,7 +440,7 @@ def _check_label_ids(labels, vocab_size: int) -> tuple:
     return labels
 
 
-def linguistic_encode_cached(labels, params: ModelParams, config: ModelConfig, rng=None):
+def linguistic_encode_cached(labels, params: ModelParams, config: ModelConfig):
     """Label history -> context rows (U+1, encoded_size); row 0 is the start
     context produced by feeding the blank token."""
     labels = _check_label_ids(labels, config.vocab_size)
@@ -467,14 +449,14 @@ def linguistic_encode_cached(labels, params: ModelParams, config: ModelConfig, r
     seq = embedded
     runs = []
     for p in params.lm_rnn:
-        seq, run = _run_lstm(seq, p, rng, config.dropout_rate, reverse=False)
+        seq, run = _run_lstm(seq, p, reverse=False)
         runs.append(run)
     ctx = affine_forward(seq, params.lm_proj.w, params.lm_proj.b)
     return ctx, LinguisticCache(ids, embedded, runs)
 
 
 def linguistic_encode(labels, params, config) -> np.ndarray:
-    ctx, _ = linguistic_encode_cached(labels, params, config, rng=None)
+    ctx, _ = linguistic_encode_cached(labels, params, config)
     return ctx
 
 
@@ -536,10 +518,10 @@ class ForwardCache:
     lattice: np.ndarray  # (T, U+1, K+1) log-probs
 
 
-def forward_lattice(image, labels, params: ModelParams, config: ModelConfig, rng=None):
+def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
     """Full forward pass producing the normalized (T, U+1, K+1) lattice."""
-    feats, vis_cache = visual_encode_cached(image, params, config, rng=rng)
-    ctx, lm_cache = linguistic_encode_cached(labels, params, config, rng=rng)
+    feats, vis_cache = visual_encode_cached(image, params, config)
+    ctx, lm_cache = linguistic_encode_cached(labels, params, config)
     v = np.tanh(feats[:, None, :] + ctx[None, :, :] + params.joint_bias)
     logits = v @ params.joint_w.T
     lattice = log_softmax(logits)
@@ -639,7 +621,10 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
-        vocab = Vocab(tuple(header["charset"]))
+        charset = header["charset"]
+        if not isinstance(charset, list) or not all(isinstance(c, str) for c in charset):
+            raise ConfigError(f"{path}: charset must be a JSON list of strings")
+        vocab = Vocab(tuple(charset))
         tensors = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
     except (ValueError, LookupError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed header: {exc}") from None

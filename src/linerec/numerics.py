@@ -23,7 +23,7 @@ from .errors import UsageError
 
 NEG_INF = -np.inf
 
-LN_EPS = 1e-5  # variance floor shared by layer_norm and channel_norm
+LN_EPS = 1e-5  # variance floor of channel_norm
 
 
 def logsumexp(values) -> float:
@@ -84,34 +84,6 @@ def affine_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
         grad_b = grad_out.sum(axis=0)
     grad_x = grad_out @ weights
     return grad_x, grad_w, grad_b
-
-
-def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Normalize a vector to zero mean / unit variance, then scale and shift."""
-    if x.shape[-1] < 2:
-        raise UsageError("layer_norm needs length >= 2")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LN_EPS)
-    return gain * xhat + shift
-
-
-def layer_norm_backward(grad_out: np.ndarray, x: np.ndarray, gain: np.ndarray):
-    """Returns (grad_x, grad_gain, grad_shift). Recomputes the cheap stats."""
-    n = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    grad_gain = grad_out * xhat
-    grad_shift = grad_out.copy()
-    dxhat = grad_out * gain
-    grad_x = (inv / n) * (
-        n * dxhat
-        - dxhat.sum(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-    )
-    return grad_x, grad_gain, grad_shift
 
 
 def channel_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -246,13 +218,11 @@ class LstmState:
 
 @dataclass
 class LstmParams:
-    """Weights of one LSTM layer; ln_* is present only with gate layer norm."""
+    """Weights of one LSTM layer."""
 
     w_x: np.ndarray  # (4H, input)
     w_h: np.ndarray  # (4H, H)
     b: np.ndarray  # (4H,)
-    ln_gain: np.ndarray | None = None  # (4, H)
-    ln_shift: np.ndarray | None = None  # (4, H)
 
     @property
     def hidden_size(self) -> int:
@@ -264,42 +234,28 @@ class LstmStepCache:
     """Forward-side values needed by lstm_step_backward."""
 
     x: np.ndarray
-    h_used: np.ndarray
+    h_prev: np.ndarray
     c_prev: np.ndarray
-    z_raw: np.ndarray  # pre-activation before optional layer norm, (4, H)
     gates: np.ndarray  # i, f, g, o after nonlinearities, (4, H)
     c: np.ndarray
     tanh_c: np.ndarray
-    rec_mask: np.ndarray | None
 
 
 def lstm_zero_state(hidden_size: int) -> LstmState:
     return LstmState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
-def lstm_step_cached(
-    x: np.ndarray,
-    state: LstmState,
-    params: LstmParams,
-    rec_mask: np.ndarray | None = None,
-):
+def lstm_step_cached(x: np.ndarray, state: LstmState, params: LstmParams):
     """One LSTM step; returns (output, new_state, cache).
 
-    ``rec_mask`` is the per-sequence variational dropout mask applied to the
-    hidden state on the recurrent path (None means no dropout). The caller's
-    ``state`` is never mutated.
+    The caller's ``state`` is never mutated.
     """
     hs = params.hidden_size
     if x.shape[-1] != params.w_x.shape[1]:
         raise UsageError(
             f"lstm input size {x.shape[-1]} != expected {params.w_x.shape[1]}"
         )
-    h_used = state.hidden if rec_mask is None else state.hidden * rec_mask
-    z_raw = (params.w_x @ x + params.w_h @ h_used + params.b).reshape(4, hs)
-    if params.ln_gain is not None:
-        z = layer_norm(z_raw, params.ln_gain, params.ln_shift)
-    else:
-        z = z_raw
+    z = (params.w_x @ x + params.w_h @ state.hidden + params.b).reshape(4, hs)
     gates = np.empty_like(z)
     gates[0] = sigmoid(z[0])
     gates[1] = sigmoid(z[1])
@@ -308,32 +264,26 @@ def lstm_step_cached(
     c = gates[1] * state.cell + gates[0] * gates[2]
     tanh_c = np.tanh(c)
     h = gates[3] * tanh_c
-    cache = LstmStepCache(x, h_used, state.cell, z_raw, gates, c, tanh_c, rec_mask)
+    cache = LstmStepCache(x, state.hidden, state.cell, gates, c, tanh_c)
     return h, LstmState(h, c), cache
 
 
-def lstm_step(x, state, params, rec_mask=None):
+def lstm_step(x, state, params):
     """lstm_step_cached without the training-side cache."""
-    h, new_state, _ = lstm_step_cached(x, state, params, rec_mask)
+    h, new_state, _ = lstm_step_cached(x, state, params)
     return h, new_state
 
 
-def lstm_step_backward(
-    grad_h: np.ndarray,
-    grad_c: np.ndarray,
-    cache: LstmStepCache,
-    params: LstmParams,
-    grads: LstmParams,
-):
+def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray, cache: LstmStepCache,
+                       params: LstmParams):
     """Backward through one step. Returns (dz, grad_h_prev, grad_c_prev).
 
     ``grad_h``/``grad_c`` are the gradients arriving at this step's output
     and cell (the latter accumulated from the future). ``dz`` is the (4H,)
-    gradient at the stacked pre-activation w_x @ x + w_h @ h_used + b, after
-    any gate layer-norm backward. The gate layer-norm gain/shift gradients are
-    accumulated into ``grads`` in place; the caller owns w_x, w_h, b and the
-    input gradient, which over a whole scan are dZ.T @ X, dZ.T @ H_used,
-    the column sums of dZ, and dZ @ w_x for the row-stacked dz of every step.
+    gradient at the stacked pre-activation w_x @ x + w_h @ h_prev + b. The
+    caller owns w_x, w_h, b and the input gradient, which over a whole scan
+    are dZ.T @ X, dZ.T @ H_prev, the column sums of dZ, and dZ @ w_x for the
+    row-stacked dz of every step.
     """
     i, f, g, o = cache.gates
     dz = np.empty_like(cache.gates)
@@ -342,12 +292,5 @@ def lstm_step_backward(
     dz[0] = dc * g * i * (1.0 - i)
     dz[1] = dc * cache.c_prev * f * (1.0 - f)
     dz[2] = dc * i * (1.0 - g**2)
-    if params.ln_gain is not None:
-        dz, dgain, dshift = layer_norm_backward(dz, cache.z_raw, params.ln_gain)
-        grads.ln_gain += dgain
-        grads.ln_shift += dshift
     dz = dz.reshape(-1)
-    grad_h_prev = params.w_h.T @ dz
-    if cache.rec_mask is not None:
-        grad_h_prev = grad_h_prev * cache.rec_mask
-    return dz, grad_h_prev, dc * f
+    return dz, params.w_h.T @ dz, dc * f

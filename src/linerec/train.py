@@ -65,6 +65,8 @@ class TrainConfig(ConfigSection):
             )
         if self.grad_clip_norm < 0 or self.augment_strength < 0:
             raise ConfigError("grad_clip_norm and augment_strength must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # --- learning-rate schedule -----------------------------------------------------
@@ -215,9 +217,8 @@ def _augment_seed(base_seed: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, epoch, index)).generate_state(1)[0])
 
 
-def _example_loss_grads(sample, labels, params, model_cfg, dropout_rng, inv_batch):
-    lattice, cache = forward_lattice(sample.image, labels, params, model_cfg,
-                                     rng=dropout_rng)
+def _example_loss_grads(sample, labels, params, model_cfg, inv_batch):
+    lattice, cache = forward_lattice(sample.image, labels, params, model_cfg)
     tables = rnnt_alphabeta(lattice, labels)
     loss = -tables.log_prob
     grad_lattice = rnnt_grad(lattice, labels, tables) * inv_batch
@@ -242,6 +243,8 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
         )
     if not train_samples:
         raise ConfigError("no training samples")
+    if not val_samples:
+        raise ConfigError("no validation samples")
 
     ckpt_dir = Path(train_cfg.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -275,10 +278,8 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
                         sample = augment(canon_train[idx], synth_cfg,
                                          train_cfg.augment_strength,
                                          _augment_seed(train_cfg.seed, epoch, idx))
-                        rng = (np.random.default_rng((train_cfg.seed, epoch, idx, 7))
-                               if model_cfg.dropout_rate > 0 else None)
                         loss, grads = _example_loss_grads(sample, label_cache[idx], params,
-                                                          model_cfg, rng, 1.0 / len(chunk))
+                                                          model_cfg, 1.0 / len(chunk))
                         batch_loss += loss / len(chunk)
                         batch_grads.flat += grads.flat
                 except UsageError as exc:

@@ -106,6 +106,9 @@ def test_invalid_json_exits_3(tmp_path, capsys):
                  dict(train={"base_lr": "0.001"}),
                  dict(model={"hidden_size": 64.0}),
                  dict(model={"layer_norm": "no"}),
+                 dict(model={"layer_norm": True}),
+                 dict(model={"dropout_rate": 0.3}),
+                 dict(train={"seed": -1}),
                  dict(model={"conv_blocks": [[2.0, 3, [2, 2]], [3, 3, [4, 2]]]}),
                  dict(model={"conv_blocks": [[2, 3, [2, 2], 5], [3, 3, [4, 2]]]}),
                  dict(model={"conv_blocks": [[2, 3, [2, 2]], [3, 3, [4, 2, 9]]]}),
@@ -130,9 +133,13 @@ def test_verify_rejects_fewer_than_one_trial(capsys):
         assert captured.out == "" and captured.err.count("\n") == 1, captured
 
 
-def test_bad_arguments_exit_4():
-    assert main(["frobnicate"]) == 4
-    assert main(["--seed", "not-a-number", "verify"]) == 4
+def test_bad_arguments_exit_4(capsys):
+    for argv in (["frobnicate"], ["--seed", "not-a-number", "verify"],
+                 ["--seed", "-1", "verify"], ["--seed", "-1", "synth"]):
+        capsys.readouterr()
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured)
 
 
 def test_missing_required_path_exits_4(tmp_path):
@@ -298,6 +305,10 @@ CORRUPTIONS = {
     "trailing_bytes": lambda blob: blob + bytes(8),
     "conv_block_with_extra_entry": lambda blob: _rewrite_header(
         blob, lambda h: h["config"]["conv_blocks"][0].append(5)),
+    "charset_not_a_list": lambda blob: _rewrite_header(
+        blob, lambda h: h.update(charset="".join(h["charset"]))),
+    "config_with_layer_norm": lambda blob: _rewrite_header(
+        blob, lambda h: h["config"].update(layer_norm=True)),
 }
 
 
@@ -312,6 +323,24 @@ def test_decode_corrupt_checkpoint_exits_3(pipeline, tmp_path, capsys, corruptio
                  str(image)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1, err
+
+
+def test_empty_manifest_exits_2(pipeline, tmp_path, capsys):
+    cfg_path, _, run = pipeline
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["paths"]["val_manifest"] = str(empty)
+    doc["train"]["checkpoint_dir"] = str(tmp_path / "run")
+    no_val = tmp_path / "no_val.json"
+    no_val.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["--config", str(no_val), "train"],
+                 ["eval", "--checkpoint", str(run / "best.ckpt"), "--manifest", str(empty)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "empty.tsv" in err, err
+        assert err.count("\n") == 1, err
 
 
 def test_train_missing_manifest_exits_2(tmp_path):

@@ -299,6 +299,13 @@ def test_manifest_malformed_row_names_the_row(tmp_path):
         dt.load_manifest(manifest)
 
 
+def test_manifest_without_rows_is_rejected(tmp_path):
+    manifest = tmp_path / "lines.tsv"
+    manifest.write_text("", encoding="utf-8")
+    with pytest.raises(DataError, match="lines.tsv"):
+        dt.load_manifest(manifest)
+
+
 def test_manifest_rejects_characters_outside_charset(tmp_path):
     samples = dt.make_dataset(cfg_of(charset_size=8), 3, seed=2)
     manifest = tmp_path / "lines.tsv"

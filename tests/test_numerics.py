@@ -145,38 +145,7 @@ def test_affine_rowstacked_accumulates():
     assert np.allclose(gb, g.sum(axis=0), atol=1e-12)
 
 
-# --- layer norm / channel norm -------------------------------------------------
-
-
-def test_layer_norm_constant_input_is_zero():
-    out = nm.layer_norm(np.full(5, 4.2), np.ones(5), np.zeros(5))
-    assert np.allclose(out, 0.0)
-
-
-def test_layer_norm_standardizes():
-    rng = np.random.default_rng(9)
-    x = rng.normal(2.0, 3.0, size=64)
-    out = nm.layer_norm(x, np.ones(64), np.zeros(64))
-    assert abs(out.mean()) < 1e-12
-    assert abs(out.var() - 1.0) < 1e-4  # off by var/(var+eps)
-
-
-def test_layer_norm_too_short():
-    with pytest.raises(UsageError):
-        nm.layer_norm(np.ones(1), np.ones(1), np.zeros(1))
-
-
-def test_layer_norm_gradients_match_fd():
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=6)
-    gain = rng.normal(size=6)
-    shift = rng.normal(size=6)
-    r = rng.normal(size=6)
-
-    gx, gg, gs = nm.layer_norm_backward(r, x, gain)
-    assert rel_err(gx, fd_grad(lambda v: float(r @ nm.layer_norm(v, gain, shift)), x)) < 1e-6
-    assert rel_err(gg, fd_grad(lambda v: float(r @ nm.layer_norm(x, v, shift)), gain)) < 1e-6
-    assert rel_err(gs, fd_grad(lambda v: float(r @ nm.layer_norm(x, gain, v)), shift)) < 1e-6
+# --- channel norm ------------------------------------------------------------
 
 
 def test_channel_norm_gradients_match_fd():
@@ -251,16 +220,12 @@ def test_maxpool_gradient_matches_fd():
 # --- LSTM ----------------------------------------------------------------------
 
 
-def _rand_lstm(rng, n_in, n_hidden, layer_norm=False):
-    p = nm.LstmParams(
+def _rand_lstm(rng, n_in, n_hidden):
+    return nm.LstmParams(
         w_x=rng.normal(size=(4 * n_hidden, n_in)) * 0.5,
         w_h=rng.normal(size=(4 * n_hidden, n_hidden)) * 0.5,
         b=rng.normal(size=4 * n_hidden) * 0.5,
     )
-    if layer_norm:
-        p.ln_gain = 1.0 + 0.1 * rng.normal(size=(4, n_hidden))
-        p.ln_shift = 0.1 * rng.normal(size=(4, n_hidden))
-    return p
 
 
 def test_lstm_all_zero_weights_gives_zero_output():
@@ -290,47 +255,29 @@ def test_lstm_step_does_not_mutate_input_state():
 
 
 def _pack_lstm(p):
-    parts = [p.w_x.reshape(-1), p.w_h.reshape(-1), p.b]
-    if p.ln_gain is not None:
-        parts += [p.ln_gain.reshape(-1), p.ln_shift.reshape(-1)]
-    return np.concatenate(parts)
+    return np.concatenate([p.w_x.reshape(-1), p.w_h.reshape(-1), p.b])
 
 
 def _unpack_lstm(vec, template):
     n_in = template.w_x.shape[1]
     hs = template.hidden_size
-    sizes = [4 * hs * n_in, 4 * hs * hs, 4 * hs]
-    with_ln = template.ln_gain is not None
-    if with_ln:
-        sizes += [4 * hs, 4 * hs]
-    splits = np.split(vec, np.cumsum(sizes)[:-1])
-    p = nm.LstmParams(
-        w_x=splits[0].reshape(4 * hs, n_in),
-        w_h=splits[1].reshape(4 * hs, hs),
-        b=splits[2].copy(),
-    )
-    if with_ln:
-        p.ln_gain = splits[3].reshape(4, hs)
-        p.ln_shift = splits[4].reshape(4, hs)
-    return p
+    w_x, w_h, b = np.split(vec, np.cumsum([4 * hs * n_in, 4 * hs * hs]))
+    return nm.LstmParams(w_x.reshape(4 * hs, n_in), w_h.reshape(4 * hs, hs), b.copy())
 
 
-@pytest.mark.parametrize("layer_norm", [False, True])
-@pytest.mark.parametrize("dropout_mask", [False, True])
-def test_lstm_bptt_matches_fd(layer_norm, dropout_mask):
+def test_lstm_bptt_matches_fd():
     """Unrolled 3-step sequence: gradient wrt every weight via BPTT vs FD."""
     rng = np.random.default_rng(37)
     n_in, hs, steps = 3, 4, 3
-    params = _rand_lstm(rng, n_in, hs, layer_norm=layer_norm)
+    params = _rand_lstm(rng, n_in, hs)
     xs = rng.normal(size=(steps, n_in))
     readout = rng.normal(size=(steps, hs))
-    mask = (rng.random(hs) > 0.3).astype(np.float64) / 0.7 if dropout_mask else None
 
     def loss_from(params_):
         state = nm.lstm_zero_state(hs)
         total = 0.0
         for t in range(steps):
-            h, state = nm.lstm_step(xs[t], state, params_, rec_mask=mask)
+            h, state = nm.lstm_step(xs[t], state, params_)
             total += float(readout[t] @ h)
         return total
 
@@ -338,18 +285,16 @@ def test_lstm_bptt_matches_fd(layer_norm, dropout_mask):
     state = nm.lstm_zero_state(hs)
     caches = []
     for t in range(steps):
-        _, state, cache = nm.lstm_step_cached(xs[t], state, params, rec_mask=mask)
+        _, state, cache = nm.lstm_step_cached(xs[t], state, params)
         caches.append(cache)
-    grads = _unpack_lstm(np.zeros_like(_pack_lstm(params)), params)
     dz = np.empty((steps, 4 * hs))
     dh = np.zeros(hs)
     dc = np.zeros(hs)
     for t in reversed(range(steps)):
-        dz[t], dh, dc = nm.lstm_step_backward(readout[t] + dh, dc, caches[t], params, grads)
+        dz[t], dh, dc = nm.lstm_step_backward(readout[t] + dh, dc, caches[t], params)
     # the step returns the pre-activation gradient; the weights are ours to sum
-    grads.w_x += dz.T @ xs
-    grads.w_h += dz.T @ np.array([c.h_used for c in caches])
-    grads.b += dz.sum(axis=0)
+    grads = nm.LstmParams(dz.T @ xs, dz.T @ np.array([c.h_prev for c in caches]),
+                          dz.sum(axis=0))
 
     fd = fd_grad(lambda v: loss_from(_unpack_lstm(v, params)), _pack_lstm(params))
     assert rel_err(_pack_lstm(grads), fd) < 1e-6

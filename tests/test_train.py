@@ -296,7 +296,7 @@ def test_reloaded_checkpoint_evaluates_identically(tmp_path):
 def test_train_run_aborts_on_divergence_with_identifiers(tmp_path, monkeypatch):
     args = toy_setup(tmp_path, "diverge")
 
-    def poisoned(sample, labels, params, model_cfg, rng, inv_batch):
+    def poisoned(sample, labels, params, model_cfg, inv_batch):
         return float("nan"), md.zero_grads_shell(params)
 
     monkeypatch.setattr(tr, "_example_loss_grads", poisoned)
@@ -307,7 +307,7 @@ def test_train_run_aborts_on_divergence_with_identifiers(tmp_path, monkeypatch):
 def test_train_run_wraps_forward_failures_with_identifiers(tmp_path, monkeypatch):
     args = toy_setup(tmp_path, "fail")
 
-    def broken(sample, labels, params, model_cfg, rng, inv_batch):
+    def broken(sample, labels, params, model_cfg, inv_batch):
         raise UsageError("boom")
 
     monkeypatch.setattr(tr, "_example_loss_grads", broken)
@@ -325,3 +325,9 @@ def test_train_run_rejects_empty_training_set(tmp_path):
     model_cfg, train_cfg, synth_cfg, vocab, _, val_s = toy_setup(tmp_path, "empty")
     with pytest.raises(ConfigError):
         tr.train_run(model_cfg, train_cfg, synth_cfg, vocab, [], val_s)
+
+
+def test_train_run_rejects_empty_validation_set(tmp_path):
+    model_cfg, train_cfg, synth_cfg, vocab, train_s, _ = toy_setup(tmp_path, "no-val")
+    with pytest.raises(ConfigError, match="validation"):
+        tr.train_run(model_cfg, train_cfg, synth_cfg, vocab, train_s, [])
