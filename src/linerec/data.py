@@ -50,8 +50,8 @@ class SynthConfig(ConfigSection):
     def validate(self) -> None:
         if self.charset_size < 1:
             raise ConfigError(f"charset_size must be >= 1, got {self.charset_size}")
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
+        if self.count < 10:  # split_nine_to_one puts every tenth line in validation
+            raise ConfigError(f"count must be >= 10, got {self.count}")
         if self.cell < 1 or self.canvas_height < self.cell:
             raise ConfigError(
                 f"need canvas_height >= cell >= 1, got cell={self.cell}, "

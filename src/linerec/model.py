@@ -289,17 +289,20 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     return _on_buffer(params, np.concatenate([a.ravel() for _, a in named_arrays(params)]))
 
 
-
 # --- visual feature encoder ---------------------------------------------------
 
 
 @dataclass
 class ConvBlockCache:
+    """Backward inputs of one conv -> norm -> pool -> relu block. Relu commutes
+    with max pooling (same values, same first-max position where the window's
+    max is positive, zero gradient elsewhere), so it runs on the pooled map."""
+
     x_in: np.ndarray
-    pre_norm: np.ndarray
-    post_norm: np.ndarray  # pre-relu
+    xhat: np.ndarray  # channel_norm's standardized map
+    inv_std: np.ndarray  # (C, 1, 1)
+    pooled: np.ndarray  # pre-relu
     argmax: np.ndarray
-    pre_pool_shape: tuple
 
 
 @dataclass
@@ -311,7 +314,6 @@ class LstmRunCache:
 @dataclass
 class VisualCache:
     blocks: list  # [ConvBlockCache]
-    columns: np.ndarray  # (T, C_last), conv output as a sequence
     runs: list  # [(LstmRunCache fwd, LstmRunCache bwd)]
     rnn_out: np.ndarray  # (T, 2H)
 
@@ -352,16 +354,16 @@ def _run_lstm_backward(
 
 
 def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig):
+    """conv -> norm -> pool -> relu per block (ConvBlockCache says why the relu
+    is exact after the pool); returns the (T, C_last) sequence and caches."""
     x = image[None, :, :]
     blocks = []
     for blk_params, blk_cfg in zip(params.conv, config.conv_blocks):
-        pool = tuple(blk_cfg[2])
         z = conv2d(x, blk_params.w, blk_params.b)
-        n = channel_norm(z, blk_params.gain, blk_params.shift)
-        r = np.maximum(n, 0.0)
-        p, argmax = maxpool2d(r, pool)
-        blocks.append(ConvBlockCache(x, z, n, argmax, r.shape))
-        x = p
+        n, xhat, inv_std = channel_norm(z, blk_params.gain, blk_params.shift)
+        p, argmax = maxpool2d(n, blk_cfg[2])
+        blocks.append(ConvBlockCache(x, xhat, inv_std, p, argmax))
+        x = np.maximum(p, 0.0)
     # (C, 1, T) -> (T, C)
     return x[:, 0, :].T, blocks
 
@@ -373,8 +375,7 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
         raise UsageError(
             f"image shape {image.shape} does not match input_height={config.input_height}"
         )
-    columns, blocks = _conv_stack(image, params, config)
-    seq = columns
+    seq, blocks = _conv_stack(image, params, config)
     runs = []
     for bi in params.vis_rnn:
         out_f, run_f = _run_lstm(seq, bi.fwd, reverse=False)
@@ -382,7 +383,7 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
         runs.append((run_f, run_b))
         seq = np.concatenate([out_f, out_b], axis=1)
     feats = affine_forward(seq, params.vis_proj.w, params.vis_proj.b)
-    return feats, VisualCache(blocks, columns, runs, seq)
+    return feats, VisualCache(blocks, runs, seq)
 
 
 def visual_encode(image, params, config) -> np.ndarray:
@@ -409,12 +410,11 @@ def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
     grad_map = grad_seq.T[:, None, :]
     for i in reversed(range(len(params.conv))):
         blk_cache, blk_params = cache.blocks[i], params.conv[i]
-        pool = tuple(config.conv_blocks[i][2])
-        d_relu = maxpool2d_backward(grad_map, blk_cache.argmax,
-                                    blk_cache.pre_pool_shape, pool)
-        d_norm = d_relu * (blk_cache.post_norm > 0.0)
-        d_conv, d_gain, d_shift = channel_norm_backward(d_norm, blk_cache.pre_norm,
-                                                        blk_params.gain)
+        d_pool = grad_map * (blk_cache.pooled > 0.0)
+        d_norm = maxpool2d_backward(d_pool, blk_cache.argmax, blk_cache.xhat.shape,
+                                    config.conv_blocks[i][2])
+        d_conv, d_gain, d_shift = channel_norm_backward(d_norm, blk_cache.xhat,
+                                                        blk_cache.inv_std, blk_params.gain)
         grad_map, d_w, d_b = conv2d_backward(d_conv, blk_cache.x_in, blk_params.w)
         grads.conv[i].w += d_w
         grads.conv[i].b += d_b

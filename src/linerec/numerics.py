@@ -86,95 +86,97 @@ def affine_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
     return grad_x, grad_w, grad_b
 
 
-def channel_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def channel_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     """Per-channel normalization of a (C, H, W) map over its own spatial extent.
 
     Statistics come from the single sample itself, so the result does not
-    depend on anything else in a batch.
+    depend on anything else in a batch. Returns (gain * xhat + shift, xhat,
+    inv_std): the standardized map and the (C, 1, 1) 1 / sqrt(var + LN_EPS)
+    are what channel_norm_backward takes.
     """
-    mu = x.mean(axis=(1, 2), keepdims=True)
-    var = x.var(axis=(1, 2), keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LN_EPS)
-    return gain[:, None, None] * xhat + shift[:, None, None]
+    xhat = x - x.mean(axis=(1, 2), keepdims=True)
+    std = np.sqrt(np.mean(xhat * xhat, axis=(1, 2), keepdims=True) + LN_EPS)
+    xhat /= std
+    return gain[:, None, None] * xhat + shift[:, None, None], xhat, 1.0 / std
 
 
-def channel_norm_backward(grad_out: np.ndarray, x: np.ndarray, gain: np.ndarray):
-    n = x.shape[1] * x.shape[2]
-    mu = x.mean(axis=(1, 2), keepdims=True)
-    var = x.var(axis=(1, 2), keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    grad_gain = (grad_out * xhat).sum(axis=(1, 2))
+def channel_norm_backward(grad_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                          gain: np.ndarray):
+    """grad_x = gain * inv_std / n * (n * g - sum(g) - xhat * sum(g * xhat)) over
+    the n positions of each channel; the two sums are grad_shift and grad_gain."""
+    n = xhat.shape[1] * xhat.shape[2]
+    grad_gain = np.einsum("chw,chw->c", grad_out, xhat)
     grad_shift = grad_out.sum(axis=(1, 2))
-    dxhat = grad_out * gain[:, None, None]
-    grad_x = (inv / n) * (
-        n * dxhat
-        - dxhat.sum(axis=(1, 2), keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
-    )
+    grad_x = grad_out * n
+    grad_x -= grad_shift[:, None, None]
+    grad_x -= xhat * grad_gain[:, None, None]
+    grad_x *= gain[:, None, None] * inv_std / n
     return grad_x, grad_gain, grad_shift
+
+
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(C_in * kh * kw, H * W) im2col matrix of a same-padded (C_in, H, W) map."""
+    c, h, w = x.shape
+    xp = np.zeros((c, h + kh - 1, w + kw - 1))  # np.pad costs tens of microseconds
+    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
+    sc, sy, sx = xp.strides
+    view = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, h, w), (sc, sy, sx, sy, sx))
+    return view.reshape(c * kh * kw, h * w)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 convolution of a (C_in, H, W) map.
 
-    weights is (C_out, C_in, k, k) with odd k. Implemented as one shifted
-    tensordot per kernel offset, which is exact and fast for small kernels.
+    weights is (C_out, C_in, k, k) with odd k. Implemented as one GEMM of the
+    flattened weights with the input's im2col column matrix (Chellapilla,
+    Puri & Simard 2006).
     """
     c_out, c_in, kh, kw = weights.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise UsageError("conv2d supports odd kernel sizes only")
     if x.ndim != 3 or x.shape[0] != c_in:
         raise UsageError(f"conv2d input {x.shape} does not match weights {weights.shape}")
-    _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    out = np.broadcast_to(bias[:, None, None], (c_out, h, w)).copy()
-    for dy in range(kh):
-        for dx in range(kw):
-            out += np.tensordot(
-                weights[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + w], axes=(1, 0)
-            )
+    out = (weights.reshape(c_out, -1) @ _columns(x, kh, kw)).reshape(c_out, *x.shape[1:])
+    out += bias[:, None, None]
     return out
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
-    """Returns (grad_x, grad_weights, grad_bias) for conv2d."""
+    """Returns (grad_x, grad_weights, grad_bias) for conv2d. The columns are
+    rebuilt from x rather than held from the forward through the whole network;
+    grad_x folds the column gradient back with one strided add per offset."""
     c_out, c_in, kh, kw = weights.shape
     _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(weights)
-    for dy in range(kh):
-        for dx in range(kw):
-            patch = xp[:, dy : dy + h, dx : dx + w]
-            grad_w[:, :, dy, dx] = np.tensordot(grad_out, patch, axes=([1, 2], [1, 2]))
-            grad_xp[:, dy : dy + h, dx : dx + w] += np.tensordot(
-                weights[:, :, dy, dx], grad_out, axes=(0, 0)
-            )
-    grad_b = grad_out.sum(axis=(1, 2))
-    grad_x = grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
-    return grad_x, grad_w, grad_b
+    g = grad_out.reshape(c_out, h * w)
+    grad_w = (g @ _columns(x, kh, kw).T).reshape(weights.shape)
+    grad_cols = (weights.reshape(c_out, -1).T @ g).reshape(c_in, kh, kw, h, w)
+    grad_xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
+    for dy, dx in np.ndindex(kh, kw):
+        grad_xp[:, dy : dy + h, dx : dx + w] += grad_cols[:, dy, dx]
+    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w, grad_out.sum((1, 2))
 
 
 def maxpool2d(x: np.ndarray, pool: tuple[int, int]):
     """Ceil-mode max pooling of a (C, H, W) map.
 
-    Partial windows at the bottom/right edges are padded with -inf so real
-    values always win. Returns (pooled, argmax) where argmax holds the flat
-    within-window index used by the backward pass; ties resolve to the first
-    (row-major) position, which keeps the gradient deterministic.
+    Slice x[:, dy::ph, dx::pw] is offset (dy, dx) of every window, padded with
+    -inf only where the pool leaves partial windows. Returns (pooled, argmax):
+    the running maximum over the slices and the within-window index
+    dy * pw + dx of the first (row-major) maximum, since only a strictly
+    larger value moves it; that keeps the backward pass deterministic.
     """
     ph, pw = pool
     c, h, w = x.shape
-    ho = -(-h // ph)
-    wo = -(-w // pw)
-    xp = np.full((c, ho * ph, wo * pw), NEG_INF)
-    xp[:, :h, :w] = x
-    windows = (
-        xp.reshape(c, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, ph * pw)
-    )
-    argmax = windows.argmax(axis=-1)
-    pooled = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    ho, wo = -(-h // ph), -(-w // pw)
+    if (ho * ph, wo * pw) != (h, w):
+        x, real = np.full((c, ho * ph, wo * pw), NEG_INF), x
+        x[:, :h, :w] = real
+    pooled = x[:, ::ph, ::pw].copy()
+    argmax = np.zeros((c, ho, wo), dtype=np.intp)
+    for k in range(1, ph * pw):
+        window = x[:, k // pw :: ph, k % pw :: pw]
+        np.copyto(argmax, k, where=window > pooled)
+        np.maximum(pooled, window, out=pooled)
     return pooled, argmax
 
 
@@ -183,12 +185,9 @@ def maxpool2d_backward(
 ) -> np.ndarray:
     ph, pw = pool
     c, h, w = in_shape
-    ho, wo = grad_out.shape[1], grad_out.shape[2]
-    windows = np.zeros((c, ho, wo, ph * pw))
-    np.put_along_axis(windows, argmax[..., None], grad_out[..., None], axis=-1)
-    grad_xp = windows.reshape(c, ho, wo, ph, pw).transpose(0, 1, 3, 2, 4).reshape(
-        c, ho * ph, wo * pw
-    )
+    grad_xp = np.zeros((c, grad_out.shape[1] * ph, grad_out.shape[2] * pw))
+    for k in range(ph * pw):  # through the slices maxpool2d reads
+        np.copyto(grad_xp[:, k // pw :: ph, k % pw :: pw], grad_out, where=argmax == k)
     return grad_xp[:, :h, :w]
 
 

@@ -101,6 +101,7 @@ def test_invalid_json_exits_3(tmp_path, capsys):
                  dict(model={"conv_blocks": [[8, 3]]}),
                  dict(extra={"paths": []}),
                  dict(data={"count": 1.5}),
+                 dict(data={"count": 9}),
                  dict(train={"batch_size": 2.5}),
                  dict(train={"epochs": True}),
                  dict(train={"base_lr": "0.001"}),

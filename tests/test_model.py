@@ -349,8 +349,9 @@ def test_whole_network_gradient_matches_finite_differences(seed):
     # the seeds above leave every relu input clear of the finite-difference
     # step, so the loss is smooth in the probed neighborhood
     _, cache = md.forward_lattice(image, labels, params, cfg)
-    for blk in cache.visual.blocks:
-        assert np.min(np.abs(blk.post_norm)) > 1e-4
+    for blk, p in zip(cache.visual.blocks, params.conv):
+        norm_out = p.gain[:, None, None] * blk.xhat + p.shift[:, None, None]
+        assert np.min(np.abs(norm_out)) > 1e-4
 
     assert model_gradient_error(image, labels, params, cfg) < 1e-4
 

@@ -155,17 +155,18 @@ def test_channel_norm_gradients_match_fd():
     shift = rng.normal(size=3)
     r = rng.normal(size=(3, 4, 5))
 
-    gx, gg, gs = nm.channel_norm_backward(r, x, gain)
+    _, xhat, inv_std = nm.channel_norm(x, gain, shift)
+    gx, gg, gs = nm.channel_norm_backward(r, xhat, inv_std, gain)
     assert (
-        rel_err(gx, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(v, gain, shift))), x))
+        rel_err(gx, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(v, gain, shift)[0])), x))
         < 1e-6
     )
     assert (
-        rel_err(gg, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(x, v, shift))), gain))
+        rel_err(gg, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(x, v, shift)[0])), gain))
         < 1e-6
     )
     assert (
-        rel_err(gs, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(x, gain, v))), shift))
+        rel_err(gs, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(x, gain, v)[0])), shift))
         < 1e-6
     )
 
@@ -215,6 +216,150 @@ def test_maxpool_gradient_matches_fd():
     _, argmax = nm.maxpool2d(x, (2, 2))
     gx = nm.maxpool2d_backward(r, argmax, x.shape, (2, 2))
     assert rel_err(gx, fd_grad(loss, x)) < 1e-7
+
+
+# --- conv-block kernels against their plain references ------------------------
+#
+# The references are the straightforward forms the fast kernels replaced: one
+# shifted tensordot per kernel offset, a window tensor with argmax, and a norm
+# backward that recomputes its statistics from the input.
+
+
+def _conv2d_reference(x, weights, bias):
+    c_out, _, kh, kw = weights.shape
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    out = np.broadcast_to(bias[:, None, None], (c_out, h, w)).copy()
+    for dy in range(kh):
+        for dx in range(kw):
+            out += np.tensordot(
+                weights[:, :, dy, dx], xp[:, dy : dy + h, dx : dx + w], axes=(1, 0)
+            )
+    return out
+
+
+def _conv2d_backward_reference(grad_out, x, weights):
+    _, _, kh, kw = weights.shape
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(weights)
+    for dy in range(kh):
+        for dx in range(kw):
+            patch = xp[:, dy : dy + h, dx : dx + w]
+            grad_w[:, :, dy, dx] = np.tensordot(grad_out, patch, axes=([1, 2], [1, 2]))
+            grad_xp[:, dy : dy + h, dx : dx + w] += np.tensordot(
+                weights[:, :, dy, dx], grad_out, axes=(0, 0)
+            )
+    grad_b = grad_out.sum(axis=(1, 2))
+    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w, grad_b
+
+
+def _maxpool2d_reference(x, pool):
+    ph, pw = pool
+    c, h, w = x.shape
+    ho, wo = -(-h // ph), -(-w // pw)
+    xp = np.full((c, ho * ph, wo * pw), -np.inf)
+    xp[:, :h, :w] = x
+    windows = (
+        xp.reshape(c, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, ph * pw)
+    )
+    argmax = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0], argmax
+
+
+def _maxpool2d_backward_reference(grad_out, argmax, in_shape, pool):
+    ph, pw = pool
+    c, h, w = in_shape
+    ho, wo = grad_out.shape[1], grad_out.shape[2]
+    windows = np.zeros((c, ho, wo, ph * pw))
+    np.put_along_axis(windows, argmax[..., None], grad_out[..., None], axis=-1)
+    grad_xp = windows.reshape(c, ho, wo, ph, pw).transpose(0, 1, 3, 2, 4).reshape(
+        c, ho * ph, wo * pw
+    )
+    return grad_xp[:, :h, :w]
+
+
+def _channel_norm_backward_reference(grad_out, x, gain):
+    n = x.shape[1] * x.shape[2]
+    mu = x.mean(axis=(1, 2), keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=(1, 2), keepdims=True) + nm.LN_EPS)
+    xhat = (x - mu) * inv
+    dxhat = grad_out * gain[:, None, None]
+    grad_x = (inv / n) * (
+        n * dxhat
+        - dxhat.sum(axis=(1, 2), keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
+    )
+    return grad_x, (grad_out * xhat).sum(axis=(1, 2)), grad_out.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("c_in,h,w,k", [(1, 5, 7, 1), (1, 1, 9, 3), (3, 7, 1, 3),
+                                        (3, 9, 13, 3), (1, 6, 11, 5), (3, 1, 1, 5)])
+def test_im2col_conv_matches_shifted_tensordot(c_in, h, w, k):
+    rng = np.random.default_rng(41 + 7 * k + h)
+    x = rng.normal(size=(c_in, h, w))
+    weights = rng.normal(size=(4, c_in, k, k))
+    bias = rng.normal(size=4)
+    grad_out = rng.normal(size=(4, h, w))
+    assert rel_err(nm.conv2d(x, weights, bias), _conv2d_reference(x, weights, bias)) <= 1e-12
+    fast = nm.conv2d_backward(grad_out, x, weights)
+    reference = _conv2d_backward_reference(grad_out, x, weights)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), fast, reference):
+        assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
+
+
+POOL_CASES = [((8, 12), (2, 2)), ((7, 9), (2, 2)), ((16, 6), (8, 2)), ((11, 5), (8, 2)),
+              ((9, 8), (3, 2)), ((10, 7), (3, 2)), ((5, 3), (1, 1)), ((1, 1), (2, 2))]
+
+
+def _tie_heavy(rng, shape):
+    """Integers from a small set, zero included, so windows are full of ties."""
+    return rng.integers(-2, 3, size=shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("hw,pool", POOL_CASES)
+def test_slice_pooling_is_bitwise_equal_to_window_argmax(hw, pool):
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        x = _tie_heavy(rng, (3, *hw))
+        pooled, argmax = nm.maxpool2d(x, pool)
+        ref_pooled, ref_argmax = _maxpool2d_reference(x, pool)
+        assert np.array_equal(pooled, ref_pooled) and np.array_equal(argmax, ref_argmax)
+        grad_out = rng.normal(size=pooled.shape)
+        assert np.array_equal(nm.maxpool2d_backward(grad_out, argmax, x.shape, pool),
+                              _maxpool2d_backward_reference(grad_out, argmax, x.shape, pool))
+
+
+@pytest.mark.parametrize("hw,pool", POOL_CASES)
+def test_relu_after_pool_equals_relu_before_pool(hw, pool):
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        x = _tie_heavy(rng, (3, *hw))
+        pooled, argmax = nm.maxpool2d(x, pool)
+        before, argmax_before = _maxpool2d_reference(np.maximum(x, 0.0), pool)
+        assert np.array_equal(np.maximum(pooled, 0.0), before)
+        grad_out = _tie_heavy(rng, pooled.shape)
+        after_grad = nm.maxpool2d_backward(grad_out * (pooled > 0.0), argmax, x.shape, pool)
+        before_grad = _maxpool2d_backward_reference(
+            grad_out, argmax_before, x.shape, pool) * (x > 0.0)
+        assert np.array_equal(after_grad, before_grad)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 7), (2, 9, 1), (4, 8, 33)])
+def test_channel_norm_cached_statistics_match_recomputed_ones(shape):
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=shape) * 3.0 + 1.0
+    gain, shift = rng.normal(size=shape[0]), rng.normal(size=shape[0])
+    grad_out = rng.normal(size=shape)
+    out, xhat, inv_std = nm.channel_norm(x, gain, shift)
+    mu, var = x.mean(axis=(1, 2), keepdims=True), x.var(axis=(1, 2), keepdims=True)
+    reference_out = gain[:, None, None] * ((x - mu) / np.sqrt(var + nm.LN_EPS)) + shift[:, None, None]
+    assert np.array_equal(out, reference_out)
+    fast = nm.channel_norm_backward(grad_out, xhat, inv_std, gain)
+    for name, a, b in zip(("grad_x", "grad_gain", "grad_shift"), fast,
+                          _channel_norm_backward_reference(grad_out, x, gain)):
+        assert rel_err(a, b) <= 1e-12, name
 
 
 # --- LSTM ----------------------------------------------------------------------
