@@ -96,7 +96,7 @@ def glyph_masks(k: int) -> np.ndarray:
             rng = np.random.default_rng(0x517F ^ (c + 1))
             for _attempt in range(10_000):
                 cand = rng.random((GLYPH_GRID, GLYPH_GRID)) < 0.5
-                if all(np.sum(cand ^ masks[p]) >= MIN_GLYPH_HAMMING for p in range(c)):
+                if np.all(np.count_nonzero(cand ^ masks[:c], axis=(1, 2)) >= MIN_GLYPH_HAMMING):
                     masks[c] = cand
                     break
             else:

@@ -31,6 +31,7 @@ from .numerics import (
     conv2d_backward,
     log_softmax,
     log_softmax_backward,
+    lstm_backward_factors,
     lstm_step,
     lstm_step_backward,
     lstm_step_cached,
@@ -307,8 +308,17 @@ class ConvBlockCache:
 
 @dataclass
 class LstmRunCache:
-    steps: list  # [LstmStepCache], in scan order
-    outs: np.ndarray  # (T, H), indexed by sequence position
+    """One scan as whole-sequence arrays, rows indexed by sequence position in
+    either direction; h_prev and c_prev are outs and cells shifted by a step."""
+
+    inputs: np.ndarray  # (T, input)
+    gates: np.ndarray  # (T, 4, H): i, f, g, o after their nonlinearities
+    outs: np.ndarray  # (T, H)
+    cells: np.ndarray  # (T, H)
+    tanh_c: np.ndarray  # (T, H)
+    h_prev: np.ndarray  # (T, H)
+    c_prev: np.ndarray  # (T, H)
+    reverse: bool
 
 
 @dataclass
@@ -319,38 +329,38 @@ class VisualCache:
 
 
 def _run_lstm(seq: np.ndarray, p: LstmParams, reverse: bool):
-    state = lstm_zero_state(p.hidden_size)
-    order = range(len(seq) - 1, -1, -1) if reverse else range(len(seq))
-    outs = np.empty((len(seq), p.hidden_size))
-    steps = []
-    for t in order:
-        h, state, cache = lstm_step_cached(seq[t], state, p)
-        outs[t] = h
-        steps.append(cache)
-    return outs, LstmRunCache(steps, outs)
+    """One scan over the rows of ``seq``; returns (outputs (T, H), cache). The
+    input projection is one GEMM (Appleyard, Kočiský & Blunsom 2016); each
+    step adds w_h @ h to its row and writes into the cache's arrays."""
+    n, hs = len(seq), p.hidden_size
+    zx = (seq @ p.w_x.T + p.b).reshape(n, 4, hs)
+    h, c = np.zeros((2, n + 1, hs))  # the zero row is the state before the first step
+    now, prev = (slice(n), slice(1, None)) if reverse else (slice(1, None), slice(n))
+    run = LstmRunCache(seq, np.empty((n, 4, hs)), h[now], c[now], np.empty((n, hs)),
+                       h[prev], c[prev], reverse)
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        lstm_step_cached(zx[t], run.h_prev[t], run.c_prev[t], p.w_h, run.gates[t],
+                         run.cells[t], run.tanh_c[t], run.outs[t])
+    return run.outs, run
 
 
-def _run_lstm_backward(
-    grad_out: np.ndarray, run: LstmRunCache, p: LstmParams, grads: LstmParams, reverse: bool
-) -> np.ndarray:
+def _run_lstm_backward(grad_out: np.ndarray, run: LstmRunCache, p: LstmParams,
+                       grads: LstmParams) -> np.ndarray:
     """BPTT over one scan; returns the gradient wrt the input sequence.
 
-    The steps yield the pre-activation gradients dz one by one; the weight and
-    input gradients are then one GEMM each over the stacked rows (scan order).
-    """
-    n = len(run.steps)
-    dz = np.empty((n, 4 * p.hidden_size))
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    dh = np.zeros(p.hidden_size)
-    dc = np.zeros(p.hidden_size)
-    # run.steps was appended in scan order; walk it backwards
-    for i in reversed(range(n)):
-        dz[i], dh, dc = lstm_step_backward(grad_out[order[i]] + dh, dc, run.steps[i], p)
-    grads.w_x += dz.T @ np.array([s.x for s in run.steps])
-    grads.w_h += dz.T @ np.array([s.h_prev for s in run.steps])
+    The steps' derivative factors are formed once as arrays; each step then
+    yields its pre-activation gradient dz, and the weight and input gradients
+    are one GEMM each over the (T, 4H) rows of dz."""
+    n, hs = run.outs.shape
+    factors = lstm_backward_factors(run.gates, run.tanh_c, run.c_prev)
+    dz, dh, dc, w_h_t = np.empty((n, 4, hs)), np.zeros(hs), np.zeros(hs), p.w_h.T
+    for t in range(n) if run.reverse else range(n - 1, -1, -1):
+        dh, dc = lstm_step_backward(grad_out[t] + dh, dc, factors[t], w_h_t, dz[t])
+    dz = dz.reshape(n, 4 * hs)
+    grads.w_x += dz.T @ run.inputs
+    grads.w_h += dz.T @ run.h_prev
     grads.b += dz.sum(axis=0)
-    grad_seq = dz @ p.w_x
-    return grad_seq[::-1] if reverse else grad_seq
+    return dz @ p.w_x
 
 
 def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig):
@@ -401,10 +411,8 @@ def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
     for i in reversed(range(len(params.vis_rnn))):
         run_f, run_b = cache.runs[i]
         bi = params.vis_rnn[i]
-        d_in = _run_lstm_backward(grad_seq[:, :hs], run_f, bi.fwd,
-                                  grads.vis_rnn[i].fwd, reverse=False)
-        d_in += _run_lstm_backward(grad_seq[:, hs:], run_b, bi.bwd,
-                                   grads.vis_rnn[i].bwd, reverse=True)
+        d_in = _run_lstm_backward(grad_seq[:, :hs], run_f, bi.fwd, grads.vis_rnn[i].fwd)
+        d_in += _run_lstm_backward(grad_seq[:, hs:], run_b, bi.bwd, grads.vis_rnn[i].bwd)
         grad_seq = d_in
     # sequence -> (C, 1, T) map
     grad_map = grad_seq.T[:, None, :]
@@ -415,7 +423,8 @@ def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
                                     config.conv_blocks[i][2])
         d_conv, d_gain, d_shift = channel_norm_backward(d_norm, blk_cache.xhat,
                                                         blk_cache.inv_std, blk_params.gain)
-        grad_map, d_w, d_b = conv2d_backward(d_conv, blk_cache.x_in, blk_params.w)
+        grad_map, d_w, d_b = conv2d_backward(d_conv, blk_cache.x_in, blk_params.w,
+                                             need_grad_x=i > 0)  # none for the image
         grads.conv[i].w += d_w
         grads.conv[i].b += d_b
         grads.conv[i].gain += d_gain
@@ -467,9 +476,8 @@ def _linguistic_backward(grad_ctx: np.ndarray, cache: LinguisticCache,
     grads.lm_proj.b += gb
     for i in reversed(range(len(params.lm_rnn))):
         grad_seq = _run_lstm_backward(grad_seq, cache.runs[i], params.lm_rnn[i],
-                                      grads.lm_rnn[i], reverse=False)
-    for row, token in enumerate(cache.ids):
-        grads.embed[token] += grad_seq[row]
+                                      grads.lm_rnn[i])
+    np.add.at(grads.embed, list(cache.ids), grad_seq)  # unbuffered: repeated ids add up
 
 
 def linguistic_step(prev_label: int, states, params: ModelParams, config: ModelConfig):

@@ -15,6 +15,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,14 +142,18 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
-    """Returns (grad_x, grad_weights, grad_bias) for conv2d. The columns are
-    rebuilt from x rather than held from the forward through the whole network;
-    grad_x folds the column gradient back with one strided add per offset."""
+def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
+                    need_grad_x: bool = True):
+    """Returns (grad_x, grad_weights, grad_bias) for conv2d; grad_x is None
+    when the caller says it needs none. The columns are rebuilt from x rather
+    than held from the forward through the whole network; grad_x folds the
+    column gradient back with one strided add per offset."""
     c_out, c_in, kh, kw = weights.shape
     _, h, w = x.shape
     g = grad_out.reshape(c_out, h * w)
     grad_w = (g @ _columns(x, kh, kw).T).reshape(weights.shape)
+    if not need_grad_x:
+        return None, grad_w, grad_out.sum((1, 2))
     grad_cols = (weights.reshape(c_out, -1).T @ g).reshape(c_in, kh, kw, h, w)
     grad_xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
     for dy, dx in np.ndindex(kh, kw):
@@ -191,11 +196,6 @@ def maxpool2d_backward(
     return grad_xp[:, :h, :w]
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # clip keeps exp() quiet; saturation is exact at these magnitudes anyway
-    return 1.0 / (1.0 + np.exp(np.clip(-x, -500, 500)))
-
-
 # --- LSTM cell -------------------------------------------------------------
 #
 # Gate layout, fixed once for the whole project: the stacked pre-activation
@@ -205,6 +205,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 #   z[2H:3H]  cell candidate (tanh)
 #   z[3H:4H]  output gate (sigmoid)
 # Checkpoint payloads and initializers all follow this order.
+#
+# One tanh serves all four gates, as sigmoid(z) = 0.5 * (1 + tanh(z / 2)): a
+# step halves z's sigmoid rows (exact), takes the tanh of all 4H rows and maps
+# them back with one multiply-add, so nothing can overflow.
+
+
+@functools.lru_cache(maxsize=8)
+def _gate_affine(hidden_size: int) -> np.ndarray:
+    """Read-only (2, 4, H) scale and shift by gate: 0.5 and 0.5 on the sigmoid
+    rows, 1 and 0 on the candidate's (a (4, 1) column broadcasts 2x slower)."""
+    out = np.repeat([[[0.5], [0.5], [1.0], [0.5]], [[0.5], [0.5], [0.0], [0.5]]],
+                    hidden_size, axis=2)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass
@@ -228,68 +242,55 @@ class LstmParams:
         return self.w_h.shape[1]
 
 
-@dataclass
-class LstmStepCache:
-    """Forward-side values needed by lstm_step_backward."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    gates: np.ndarray  # i, f, g, o after nonlinearities, (4, H)
-    c: np.ndarray
-    tanh_c: np.ndarray
-
-
 def lstm_zero_state(hidden_size: int) -> LstmState:
     return LstmState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
-def lstm_step_cached(x: np.ndarray, state: LstmState, params: LstmParams):
-    """One LSTM step; returns (output, new_state, cache).
+def lstm_step_cached(zx, h_prev, c_prev, w_h, gates, c, tanh_c, h) -> None:
+    """One step from ``zx``, its (4, H) input projection w_x @ x + b, which a
+    scan computes for all steps at once. Writes the gates (i, f, g, o after
+    their nonlinearities), the cell, tanh(cell) and the output into ``gates``,
+    ``c``, ``tanh_c`` and ``h``; ``h_prev`` and ``c_prev`` are only read."""
+    scale, shift = _gate_affine(len(c))
+    np.add(zx, (w_h @ h_prev).reshape(zx.shape), out=gates)
+    gates *= scale
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += shift
+    np.multiply(gates[1], c_prev, out=c)
+    c += gates[0] * gates[2]
+    np.tanh(c, out=tanh_c)
+    np.multiply(gates[3], tanh_c, out=h)
 
-    The caller's ``state`` is never mutated.
-    """
+
+def lstm_step(x: np.ndarray, state: LstmState, params: LstmParams):
+    """One step on a single input vector, the decode-time form of a scan step.
+    Returns (output, new_state); the caller's ``state`` is never mutated."""
     hs = params.hidden_size
     if x.shape[-1] != params.w_x.shape[1]:
-        raise UsageError(
-            f"lstm input size {x.shape[-1]} != expected {params.w_x.shape[1]}"
-        )
-    z = (params.w_x @ x + params.w_h @ state.hidden + params.b).reshape(4, hs)
-    gates = np.empty_like(z)
-    gates[0] = sigmoid(z[0])
-    gates[1] = sigmoid(z[1])
-    gates[2] = np.tanh(z[2])
-    gates[3] = sigmoid(z[3])
-    c = gates[1] * state.cell + gates[0] * gates[2]
-    tanh_c = np.tanh(c)
-    h = gates[3] * tanh_c
-    cache = LstmStepCache(x, state.hidden, state.cell, gates, c, tanh_c)
-    return h, LstmState(h, c), cache
+        raise UsageError(f"lstm input size {x.shape[-1]} != expected {params.w_x.shape[1]}")
+    rows = np.empty((7, hs))  # gates, then c, tanh(c) and h
+    lstm_step_cached((params.w_x @ x + params.b).reshape(4, hs), state.hidden, state.cell,
+                     params.w_h, rows[:4], rows[4], rows[5], rows[6])
+    return rows[6], LstmState(rows[6], rows[4])
 
 
-def lstm_step(x, state, params):
-    """lstm_step_cached without the training-side cache."""
-    h, new_state, _ = lstm_step_cached(x, state, params)
-    return h, new_state
+def lstm_backward_factors(gates: np.ndarray, tanh_c: np.ndarray, c_prev: np.ndarray):
+    """(T, 6, H) derivative factors of a whole scan, by row: dz_i, dz_f and dz_g
+    per unit of dc; dz_o and dc per unit of dh; and f, which carries dc back."""
+    i, f, g, o = gates.transpose(1, 0, 2)
+    return np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g),
+                     o * (1.0 - o) * tanh_c, o * (1.0 - tanh_c * tanh_c), f], axis=1)
 
 
-def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray, cache: LstmStepCache,
-                       params: LstmParams):
-    """Backward through one step. Returns (dz, grad_h_prev, grad_c_prev).
-
-    ``grad_h``/``grad_c`` are the gradients arriving at this step's output
-    and cell (the latter accumulated from the future). ``dz`` is the (4H,)
-    gradient at the stacked pre-activation w_x @ x + w_h @ h_prev + b. The
-    caller owns w_x, w_h, b and the input gradient, which over a whole scan
-    are dZ.T @ X, dZ.T @ H_prev, the column sums of dZ, and dZ @ w_x for the
-    row-stacked dz of every step.
-    """
-    i, f, g, o = cache.gates
-    dz = np.empty_like(cache.gates)
-    dz[3] = grad_h * cache.tanh_c * o * (1.0 - o)
-    dc = grad_c + grad_h * o * (1.0 - cache.tanh_c**2)
-    dz[0] = dc * g * i * (1.0 - i)
-    dz[1] = dc * cache.c_prev * f * (1.0 - f)
-    dz[2] = dc * i * (1.0 - g**2)
-    dz = dz.reshape(-1)
-    return dz, params.w_h.T @ dz, dc * f
+def lstm_step_backward(grad_h, grad_c, factors, w_h_t, dz):
+    """Backward through one scan step from the gradients at its output and cell
+    (the latter from the future), its row of lstm_backward_factors and w_h.T:
+    writes the (4, H) gradient at z into ``dz``, returns (grad_h_prev,
+    grad_c_prev). The scan's w_x, w_h, b and input gradients are then
+    dZ.T @ X, dZ.T @ H_prev, sum(dZ) and dZ @ w_x over its stacked dz rows."""
+    dc = grad_h * factors[4]
+    dc += grad_c
+    np.multiply(factors[:3], dc, out=dz[:3])
+    np.multiply(factors[3], grad_h, out=dz[3])
+    return w_h_t @ dz.reshape(-1), dc * factors[5]

@@ -38,6 +38,24 @@ def test_glyph_masks_are_prefix_stable():
     assert np.array_equal(dt.glyph_masks(5), dt.glyph_masks(12)[:5])
 
 
+def _glyph_masks_reference(k):
+    """The loop the vectorised distinctness check replaced."""
+    masks = np.zeros((k, dt.GLYPH_GRID, dt.GLYPH_GRID), dtype=bool)
+    for c in range(k):
+        rng = np.random.default_rng(0x517F ^ (c + 1))
+        while True:
+            cand = rng.random((dt.GLYPH_GRID, dt.GLYPH_GRID)) < 0.5
+            if all(np.sum(cand ^ masks[p]) >= dt.MIN_GLYPH_HAMMING for p in range(c)):
+                masks[c] = cand
+                break
+    return masks
+
+
+@pytest.mark.parametrize("k", [80, 300])
+def test_glyph_masks_match_the_pairwise_loop(k):
+    assert np.array_equal(dt.glyph_masks(k), _glyph_masks_reference(k))
+
+
 # --- rendering ----------------------------------------------------------------
 
 

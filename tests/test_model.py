@@ -291,6 +291,24 @@ def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
     assert rel_err(seen["_linguistic_backward"], ds.sum(axis=0)) <= 1e-12
 
 
+def test_embedding_gradient_sums_repeated_label_ids():
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=14)
+    labels = (2, 1, 2, 2, 3)
+    _, cache = md.linguistic_encode_cached(labels, params, cfg)
+    grad_ctx = np.random.default_rng(15).normal(size=(len(labels) + 1, cfg.encoded_size))
+    grads = md.zero_grads_shell(params)
+    md._linguistic_backward(grad_ctx, cache, params, cfg, grads)
+
+    ref = md.zero_grads_shell(params)
+    grad_seq, _, _ = md.affine_backward(grad_ctx, cache.runs[-1].outs, params.lm_proj.w)
+    grad_seq = md._run_lstm_backward(grad_seq, cache.runs[0], params.lm_rnn[0], ref.lm_rnn[0])
+    for row, token in enumerate((0,) + labels):
+        ref.embed[token] += grad_seq[row]
+    assert np.array_equal(grads.embed, ref.embed)
+    assert np.count_nonzero(grads.embed.any(axis=1)) == 4  # blank and labels 1-3
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_hoisted_bptt_matches_per_step_accumulation(reverse):
     """One GEMM per scan for w_x, w_h, b and the input gradient equals summing
@@ -306,18 +324,19 @@ def test_hoisted_bptt_matches_per_step_accumulation(reverse):
         return md.zero_grads_shell(md.init_params(cfg, seed=12)).vis_rnn[0].fwd
 
     hoisted = shell()
-    grad_seq = md._run_lstm_backward(grad_out, run, p, hoisted, reverse=reverse)
+    grad_seq = md._run_lstm_backward(grad_out, run, p, hoisted)
 
     ref, ref_seq = shell(), np.zeros_like(seq)
-    order = list(range(len(seq)))[::-1] if reverse else list(range(len(seq)))
+    factors = md.lstm_backward_factors(run.gates, run.tanh_c, run.c_prev)
     dh = dc = np.zeros(p.hidden_size)
-    for i in reversed(range(len(seq))):
-        step = run.steps[i]
-        dz, dh, dc = md.lstm_step_backward(grad_out[order[i]] + dh, dc, step, p)
-        ref.w_x += np.outer(dz, step.x)
-        ref.w_h += np.outer(dz, step.h_prev)
+    for t in (range(len(seq)) if reverse else reversed(range(len(seq)))):
+        dz = np.empty((4, p.hidden_size))
+        dh, dc = md.lstm_step_backward(grad_out[t] + dh, dc, factors[t], p.w_h.T, dz)
+        dz = dz.reshape(-1)
+        ref.w_x += np.outer(dz, run.inputs[t])
+        ref.w_h += np.outer(dz, run.h_prev[t])
         ref.b += dz
-        ref_seq[order[i]] = p.w_x.T @ dz
+        ref_seq[t] = p.w_x.T @ dz
     for name in ("w_x", "w_h", "b"):
         assert rel_err(getattr(hoisted, name), getattr(ref, name)) <= 1e-12, name
     assert rel_err(grad_seq, ref_seq) <= 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from linerec import model as md
 from linerec import numerics as nm
 from linerec.errors import UsageError
 from linerec.oracles import fd_grad, rel_err
@@ -309,6 +310,16 @@ def test_im2col_conv_matches_shifted_tensordot(c_in, h, w, k):
         assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
 
 
+def test_conv2d_backward_without_input_gradient_keeps_the_weight_gradients():
+    rng = np.random.default_rng(47)
+    x, weights = rng.normal(size=(1, 6, 11)), rng.normal(size=(4, 1, 3, 3))
+    grad_out = rng.normal(size=(4, 6, 11))
+    full = nm.conv2d_backward(grad_out, x, weights)
+    grad_x, grad_w, grad_b = nm.conv2d_backward(grad_out, x, weights, need_grad_x=False)
+    assert grad_x is None
+    assert np.array_equal(grad_w, full[1]) and np.array_equal(grad_b, full[2])
+
+
 POOL_CASES = [((8, 12), (2, 2)), ((7, 9), (2, 2)), ((16, 6), (8, 2)), ((11, 5), (8, 2)),
               ((9, 8), (3, 2)), ((10, 7), (3, 2)), ((5, 3), (1, 1)), ((1, 1), (2, 2))]
 
@@ -399,6 +410,10 @@ def test_lstm_step_does_not_mutate_input_state():
     assert np.array_equal(state.cell, snapshot[1])
 
 
+def _zero_lstm_like(p):
+    return nm.LstmParams(np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b))
+
+
 def _pack_lstm(p):
     return np.concatenate([p.w_x.reshape(-1), p.w_h.reshape(-1), p.b])
 
@@ -426,20 +441,121 @@ def test_lstm_bptt_matches_fd():
             total += float(readout[t] @ h)
         return total
 
-    # analytic: forward with caches, then backward through time
-    state = nm.lstm_zero_state(hs)
-    caches = []
-    for t in range(steps):
-        _, state, cache = nm.lstm_step_cached(xs[t], state, params)
-        caches.append(cache)
-    dz = np.empty((steps, 4 * hs))
-    dh = np.zeros(hs)
-    dc = np.zeros(hs)
-    for t in reversed(range(steps)):
-        dz[t], dh, dc = nm.lstm_step_backward(readout[t] + dh, dc, caches[t], params)
-    # the step returns the pre-activation gradient; the weights are ours to sum
-    grads = nm.LstmParams(dz.T @ xs, dz.T @ np.array([c.h_prev for c in caches]),
-                          dz.sum(axis=0))
+    # analytic: the scan with its cache, then backward through time
+    _, run = md._run_lstm(xs, params, reverse=False)
+    grads = _zero_lstm_like(params)
+    md._run_lstm_backward(readout, run, params, grads)
 
     fd = fd_grad(lambda v: loss_from(_unpack_lstm(v, params)), _pack_lstm(params))
     assert rel_err(_pack_lstm(grads), fd) < 1e-6
+
+
+# The per-step cell the hoisted scan replaced: one object per step, a clipped
+# exp sigmoid per gate, and the weight gradients summed by the caller.
+
+
+def _sigmoid_reference(x):
+    return 1.0 / (1.0 + np.exp(np.clip(-x, -500, 500)))
+
+
+def _lstm_step_cached_reference(x, h_prev, c_prev, params):
+    """Returns (h, c, cache) with cache = (x, h_prev, c_prev, gates (4, H), c, tanh_c)."""
+    hs = params.hidden_size
+    z = (params.w_x @ x + params.w_h @ h_prev + params.b).reshape(4, hs)
+    gates = np.stack([_sigmoid_reference(z[0]), _sigmoid_reference(z[1]), np.tanh(z[2]),
+                      _sigmoid_reference(z[3])])
+    c = gates[1] * c_prev + gates[0] * gates[2]
+    tanh_c = np.tanh(c)
+    h = gates[3] * tanh_c
+    return h, c, (x, h_prev, c_prev, gates, c, tanh_c)
+
+
+def _lstm_step_backward_reference(grad_h, grad_c, cache, params):
+    """Returns (dz (4H,), grad_h_prev, grad_c_prev)."""
+    _, _, c_prev, (i, f, g, o), _, tanh_c = cache
+    dc = grad_c + grad_h * o * (1.0 - tanh_c**2)
+    dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                         dc * i * (1.0 - g**2), grad_h * tanh_c * o * (1.0 - o)])
+    return dz, params.w_h.T @ dz, dc * f
+
+
+def _lstm_scan_reference(seq, grad_out, params, reverse):
+    """Per-step forward and BPTT; returns (outs, gates, cells, grads, grad_seq)."""
+    n, hs = len(seq), params.hidden_size
+    order = list(range(n))[::-1] if reverse else list(range(n))
+    h = c = np.zeros(hs)
+    outs, gates, cells, caches = np.empty((n, hs)), np.empty((n, 4, hs)), np.empty((n, hs)), {}
+    for t in order:
+        h, c, caches[t] = _lstm_step_cached_reference(seq[t], h, c, params)
+        outs[t], gates[t], cells[t] = h, caches[t][3], c
+    grads = _zero_lstm_like(params)
+    grad_seq = np.empty_like(seq)
+    dh = dc = np.zeros(hs)
+    for t in reversed(order):
+        dz, dh, dc = _lstm_step_backward_reference(grad_out[t] + dh, dc, caches[t], params)
+        grads.w_x += np.outer(dz, caches[t][0])
+        grads.w_h += np.outer(dz, caches[t][1])
+        grads.b += dz
+        grad_seq[t] = params.w_x.T @ dz
+    return outs, gates, cells, grads, grad_seq
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("steps", [1, 2, 9, 145])
+def test_hoisted_scan_matches_per_step_reference(steps, reverse):
+    rng = np.random.default_rng(41 + steps)
+    params = _rand_lstm(rng, 5, 6)
+    seq = rng.normal(size=(steps, 5))
+    grad_out = rng.normal(size=(steps, 6))
+    ref_outs, ref_gates, ref_cells, ref_grads, ref_seq = _lstm_scan_reference(
+        seq, grad_out, params, reverse)
+
+    outs, run = md._run_lstm(seq, params, reverse)
+    grads = _zero_lstm_like(params)
+    grad_seq = md._run_lstm_backward(grad_out, run, params, grads)
+    assert rel_err(outs, ref_outs) <= 1e-12
+    assert rel_err(run.gates, ref_gates) <= 1e-12
+    assert rel_err(run.cells, ref_cells) <= 1e-12
+    for name in ("w_x", "w_h", "b"):
+        assert rel_err(getattr(grads, name), getattr(ref_grads, name)) <= 1e-12, name
+    assert rel_err(grad_seq, ref_seq) <= 1e-12
+
+
+def test_hoisted_scan_is_bitwise_deterministic():
+    rng = np.random.default_rng(43)
+    params = _rand_lstm(rng, 5, 6)
+    seq, grad_out = rng.normal(size=(30, 5)), rng.normal(size=(30, 6))
+
+    def scan(reverse):
+        _, run = md._run_lstm(seq, params, reverse)
+        grads = _zero_lstm_like(params)
+        grad_seq = md._run_lstm_backward(grad_out, run, params, grads)
+        return [run.gates, run.outs, run.cells, run.tanh_c, grad_seq, grads.w_x,
+                grads.w_h, grads.b]
+
+    for reverse in (False, True):
+        for a, b in zip(scan(reverse), scan(reverse)):
+            assert np.array_equal(a, b)
+
+
+def test_one_tanh_cell_at_extreme_preactivations():
+    """Gates from pre-activations up to +-1e4: no overflow warning (the suite
+    turns RuntimeWarnings into errors), in range, and within 1e-15 of the
+    logistic function."""
+    hs = 7
+    z = np.concatenate([np.linspace(-1e4, 1e4, 40 * hs), np.linspace(-40, 40, 40 * hs)])
+    seq = z.reshape(-1, 4 * hs)  # one step per row, every gate of it
+    params = nm.LstmParams(np.eye(4 * hs), np.zeros((4 * hs, hs)), np.zeros(4 * hs))
+    _, run = md._run_lstm(seq, params, reverse=False)
+    zg = seq.reshape(-1, 4, hs)
+    expz = np.exp(-np.abs(zg))  # the logistic function without an overflowing exp
+    logistic = np.where(zg >= 0, 1.0 / (1.0 + expz), expz / (1.0 + expz))
+    sig = run.gates[:, [0, 1, 3]]
+    assert np.all((sig >= 0.0) & (sig <= 1.0))
+    assert np.all(np.abs(run.gates[:, 2]) <= 1.0)
+    assert np.max(np.abs(sig - logistic[:, [0, 1, 3]])) <= 1e-15
+    assert np.array_equal(run.gates[:, 2], np.tanh(zg[:, 2]))
+    assert np.all(np.abs(run.outs) <= 1.0)
+    for x in seq:  # the decode-time step uses the same cell
+        h, state = nm.lstm_step(x, nm.lstm_zero_state(hs), params)
+        assert np.all(np.abs(h) <= 1.0) and np.all(np.abs(state.cell) <= 1.0)
