@@ -287,7 +287,15 @@ def read_image(path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).reshape(h, w).astype(np.float64) / maxval
 
 
+def _check_one_line(text: str, what: str) -> None:
+    """The readers split with str.splitlines, which breaks at more than newline."""
+    if "".join(text.splitlines()) != text:
+        raise DataError(f"{what} {text!r} contains a line break")
+
+
 def write_charset(path, vocab: Vocab) -> None:
+    for n, s in enumerate(vocab.symbols, start=1):
+        _check_one_line(s, f"charset symbol {n}")
     Path(path).write_text("".join(s + "\n" for s in vocab.symbols), encoding="utf-8")
 
 
@@ -316,8 +324,9 @@ def write_manifest(path, samples) -> None:
     img_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, s in enumerate(samples):
-        if "\t" in s.transcript or "\n" in s.transcript:
-            raise DataError(f"sample {i}: transcript contains a tab or newline")
+        if "\t" in s.transcript:
+            raise DataError(f"sample {i}: transcript contains a tab")
+        _check_one_line(s.transcript, f"sample {i}: transcript")
         rel = f"{img_dir.name}/{i:06d}.pgm"
         write_image(path.parent / rel, s.image)
         rows.append(f"{rel}\t{s.direction}\t{s.transcript}\n")

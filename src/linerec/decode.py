@@ -1,6 +1,6 @@
 """Greedy inference: scan the visual feature sequence frame by frame, take the
 argmax of the joint output at each step, and advance the linguistic context
-only when a label is emitted.
+only when a label is emitted. Frames sharing a context share a joint call.
 
 The default mode emits at most one label per frame. The multi_emit variant
 re-evaluates a frame with the updated context after each emission, up to a
@@ -25,6 +25,7 @@ from .model import (
 )
 
 MODES = ("paper_greedy", "multi_emit")
+_FIRST_WINDOW = 4  # frames per joint call after an emission; 4 to 8 measured fastest
 
 
 @dataclass
@@ -46,8 +47,12 @@ def greedy_decode(feats, params: ModelParams, config: ModelConfig,
                   decode_config: DecodeConfig | None = None) -> tuple:
     """Feature sequence (T, encoded) -> emitted label ids.
 
-    Ties at the argmax go to the lowest index, so blank wins exact ties.
-    In the default mode the output can never be longer than T.
+    Per frame t, the argmax of joint(f_t, g) is a label, which is emitted and
+    advances the context g (multi_emit then rescores t, up to the cap), or
+    blank, which moves on to t+1. Ties at the argmax go to the lowest index,
+    so blank wins exact ties; in the default mode the output is never longer
+    than T. Frames are scored in windows of _FIRST_WINDOW, doubling while
+    all rows are blank.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
@@ -58,13 +63,19 @@ def greedy_decode(feats, params: ModelParams, config: ModelConfig,
     states = linguistic_start_states(config)
     g, states = linguistic_step(BLANK, states, params, config)
     out = []
-    for t in range(feats.shape[0]):
-        for _ in range(cap):
-            best = int(np.argmax(joint(feats[t], g, params)))
-            if best == BLANK:
-                break
-            out.append(best)
-            g, states = linguistic_step(best, states, params, config)
+    t, used, width = 0, 0, _FIRST_WINDOW  # used: labels emitted at frame t so far
+    while t < feats.shape[0]:
+        best = np.argmax(joint(feats[t : t + width], g, params), axis=1)
+        hits = np.flatnonzero(best != BLANK)
+        if hits.size == 0:
+            t, used, width = t + width, 0, 2 * width
+            continue
+        r = int(hits[0])
+        t, used, width = t + r, (0 if r else used) + 1, _FIRST_WINDOW
+        out.append(int(best[r]))
+        g, states = linguistic_step(out[-1], states, params, config)
+        if used == cap:
+            t, used = t + 1, 0
     return tuple(out)
 
 

@@ -3,11 +3,11 @@ LSTM + projection), linguistic context encoder (embedding + LSTM stack +
 projection), and the joint decoder that turns a (feature, context) pair into
 a log-distribution over the extended label set.
 
-Forward passes cache every intermediate needed by the hand-written backward
-pass; `backward_pass` consumes the cache and the loss gradient at the
-lattice's log-probability level and produces gradients for every parameter
-tensor. Checkpoint serialization lives here too since its payload is exactly
-the parameter buffer.
+Training forward passes cache every intermediate needed by the hand-written
+backward pass (inference keeps none); `backward_pass` consumes the cache and
+the loss gradient at the lattice's log-probability level and produces
+gradients for every parameter tensor. Checkpoint serialization lives here
+too since its payload is exactly the parameter buffer.
 """
 
 from __future__ import annotations
@@ -363,29 +363,31 @@ def _run_lstm_backward(grad_out: np.ndarray, run: LstmRunCache, p: LstmParams,
     return dz @ p.w_x
 
 
-def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig):
+def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig, blocks: list | None):
     """conv -> norm -> pool -> relu per block (ConvBlockCache says why the relu
-    is exact after the pool); returns the (T, C_last) sequence and caches."""
+    is exact after the pool) -> (T, C_last); caches go to ``blocks`` if given."""
     x = image[None, :, :]
-    blocks = []
     for blk_params, blk_cfg in zip(params.conv, config.conv_blocks):
         z = conv2d(x, blk_params.w, blk_params.b)
         n, xhat, inv_std = channel_norm(z, blk_params.gain, blk_params.shift)
-        p, argmax = maxpool2d(n, blk_cfg[2])
-        blocks.append(ConvBlockCache(x, xhat, inv_std, p, argmax))
+        p, argmax = maxpool2d(n, blk_cfg[2], need_argmax=blocks is not None)
+        if blocks is not None:
+            blocks.append(ConvBlockCache(x, xhat, inv_std, p, argmax))
         x = np.maximum(p, 0.0)
     # (C, 1, T) -> (T, C)
-    return x[:, 0, :].T, blocks
+    return x[:, 0, :].T
 
 
-def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelConfig):
-    """Image -> feature sequence (T, encoded_size), keeping backward caches."""
+def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelConfig, *,
+                         keep_caches: bool = True):
+    """Image -> (features (T, encoded_size), VisualCache, or None unless keep_caches)."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or image.shape[0] != config.input_height or image.shape[1] < 1:
         raise UsageError(
             f"image shape {image.shape} does not match input_height={config.input_height}"
         )
-    seq, blocks = _conv_stack(image, params, config)
+    blocks = [] if keep_caches else None
+    seq = _conv_stack(image, params, config, blocks)
     runs = []
     for bi in params.vis_rnn:
         out_f, run_f = _run_lstm(seq, bi.fwd, reverse=False)
@@ -393,13 +395,12 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
         runs.append((run_f, run_b))
         seq = np.concatenate([out_f, out_b], axis=1)
     feats = affine_forward(seq, params.vis_proj.w, params.vis_proj.b)
-    return feats, VisualCache(blocks, runs, seq)
+    return feats, VisualCache(blocks, runs, seq) if keep_caches else None
 
 
 def visual_encode(image, params, config) -> np.ndarray:
-    """visual_encode_cached with the backward caches dropped."""
-    feats, _ = visual_encode_cached(image, params, config)
-    return feats
+    """visual_encode_cached's features, with no backward cache or pooling argmax built."""
+    return visual_encode_cached(image, params, config, keep_caches=False)[0]
 
 
 def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
@@ -506,14 +507,15 @@ def linguistic_start_states(config: ModelConfig):
 # --- joint decoder ----------------------------------------------------------------
 
 
-def joint(f_t: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """log Pr(. | f_t, g_u) over the extended label set."""
-    if f_t.shape != g_u.shape or f_t.shape != params.joint_bias.shape:
-        raise UsageError(
-            f"joint expects two vectors of size {params.joint_bias.shape[0]}, "
-            f"got {f_t.shape} and {g_u.shape}"
-        )
-    return log_softmax(params.joint_w @ np.tanh(f_t + g_u + params.joint_bias))
+def joint(f: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
+    """log Pr(. | f, g_u) over the extended label set, for one frame f (E,)
+    -> (K+1,) or a block of frames f (n, E) against the one context row g_u
+    -> (n, K+1), in forward_lattice's operation order."""
+    size = params.joint_bias.shape
+    if f.ndim not in (1, 2) or f.shape[-1:] != size or g_u.shape != size:
+        raise UsageError(f"joint expects frames (E,) or (n, E) and a context (E,), "
+                         f"E={size[0]}; got {f.shape} and {g_u.shape}")
+    return log_softmax(np.tanh(f + g_u + params.joint_bias) @ params.joint_w.T)
 
 
 @dataclass

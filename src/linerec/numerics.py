@@ -161,7 +161,7 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
     return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w, grad_out.sum((1, 2))
 
 
-def maxpool2d(x: np.ndarray, pool: tuple[int, int]):
+def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True):
     """Ceil-mode max pooling of a (C, H, W) map.
 
     Slice x[:, dy::ph, dx::pw] is offset (dy, dx) of every window, padded with
@@ -169,6 +169,7 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int]):
     the running maximum over the slices and the within-window index
     dy * pw + dx of the first (row-major) maximum, since only a strictly
     larger value moves it; that keeps the backward pass deterministic.
+    Without need_argmax, argmax is None and its compares are skipped.
     """
     ph, pw = pool
     c, h, w = x.shape
@@ -177,10 +178,11 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int]):
         x, real = np.full((c, ho * ph, wo * pw), NEG_INF), x
         x[:, :h, :w] = real
     pooled = x[:, ::ph, ::pw].copy()
-    argmax = np.zeros((c, ho, wo), dtype=np.intp)
+    argmax = np.zeros((c, ho, wo), dtype=np.intp) if need_argmax else None
     for k in range(1, ph * pw):
         window = x[:, k // pw :: ph, k % pw :: pw]
-        np.copyto(argmax, k, where=window > pooled)
+        if need_argmax:
+            np.copyto(argmax, k, where=window > pooled)
         np.maximum(pooled, window, out=pooled)
     return pooled, argmax
 

@@ -338,6 +338,34 @@ def test_manifest_rejects_tab_in_transcript(tmp_path):
         dt.write_manifest(tmp_path / "m.tsv", [bad])
 
 
+# every character str.splitlines breaks at, which is how the readers split
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_breaks_are_every_character_splitlines_breaks_at():
+    found = [chr(c) for c in range(0x10000) if len(f"a{chr(c)}b".splitlines()) == 2]
+    assert found == sorted(LINE_BREAKS)
+
+
+@pytest.mark.parametrize("ch", LINE_BREAKS)
+def test_writers_reject_every_line_break(tmp_path, ch):
+    bad = dt.LineSample(np.zeros((4, 4)), f"a{ch}b", "horizontal")
+    with pytest.raises(DataError, match="sample 0: transcript"):
+        dt.write_manifest(tmp_path / "m.tsv", [bad])
+    with pytest.raises(DataError, match="charset symbol 2"):
+        dt.write_charset(tmp_path / "charset.txt", Vocab(("a", ch, "b")))
+
+
+def test_cjk_and_punctuation_round_trip(tmp_path):
+    vocab = Vocab(tuple("漢字かなカナ、。「」・！？—…\u3000 ,.;:'\"-"))
+    dt.write_charset(tmp_path / "charset.txt", vocab)
+    assert dt.load_charset(tmp_path / "charset.txt") == vocab
+    lines = ["漢字、かな。", "「カナ」！？", "—…\u3000 ,.;:'\"-"]
+    samples = [dt.LineSample(np.zeros((4, 4)), t, "horizontal") for t in lines]
+    dt.write_manifest(tmp_path / "m.tsv", samples)
+    assert [s.transcript for s in dt.load_manifest(tmp_path / "m.tsv", vocab)] == lines
+
+
 def test_synth_config_validation_and_roundtrip():
     with pytest.raises(ConfigError):
         dt.SynthConfig(length_min=3, length_max=2).validate()

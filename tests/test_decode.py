@@ -15,9 +15,9 @@ def install_script(monkeypatch, table, k=3, emit_log=None):
     """Route the decoder through a lookup table.
 
     The fake linguistic state is the number of labels consumed so far; the
-    fake joint reads the frame index from f_t[0] and that count from g_u[0],
-    then puts all probability mass toward table[(t, count)] (blank when the
-    pair is absent).
+    fake joint reads each frame index from its row's f[0] and that count from
+    g_u[0], then puts all of the row's probability mass toward
+    table[(t, count)] (blank when the pair is absent).
     """
 
     def fake_start(config):
@@ -29,10 +29,10 @@ def install_script(monkeypatch, table, k=3, emit_log=None):
         new_state = state + (1 if prev_label != 0 else 0)
         return np.array([float(new_state)]), new_state
 
-    def fake_joint(f_t, g_u, params):
-        label = table.get((int(f_t[0]), int(g_u[0])), 0)
-        out = np.full(k + 1, -10.0)
-        out[label] = -0.1
+    def fake_joint(f, g_u, params):
+        out = np.full((len(f), k + 1), -10.0)
+        for row, t in zip(out, f[:, 0]):
+            row[table.get((int(t), int(g_u[0])), 0)] = -0.1
         return out
 
     monkeypatch.setattr(dc, "linguistic_start_states", fake_start)
@@ -113,8 +113,8 @@ def test_multi_emit_with_cap_one_equals_default_mode(monkeypatch):
 
 
 def test_blank_wins_exact_ties(monkeypatch):
-    def tied_joint(f_t, g_u, params):
-        return np.zeros(4)  # all classes exactly equal
+    def tied_joint(f, g_u, params):
+        return np.zeros((len(f), 4))  # all classes exactly equal
 
     monkeypatch.setattr(dc, "linguistic_start_states", lambda config: 0)
     monkeypatch.setattr(dc, "linguistic_step",
@@ -167,3 +167,63 @@ def test_decode_image_rejects_vocab_size_mismatch():
     cfg, params = small_model()
     with pytest.raises(ConfigError):
         dc.decode_image(np.zeros((4, 8)), Vocab(("x", "y")), params, cfg)
+
+
+# --- windows of frames against the frame-by-frame loop -----------------------------
+
+
+def _greedy_reference(feats, params, config, cap):
+    """The frame-by-frame greedy loop, one joint call per frame and context;
+    returns the labels and the frame each was emitted at."""
+    states = md.linguistic_start_states(config)
+    g, states = md.linguistic_step(0, states, params, config)
+    out, at = [], []
+    for t in range(feats.shape[0]):
+        for _ in range(cap):
+            best = int(np.argmax(md.joint(feats[t], g, params)))
+            if best == 0:
+                break
+            out.append(best)
+            at.append(t)
+            g, states = md.linguistic_step(best, states, params, config)
+    return tuple(out), at
+
+
+def _biased_model_and_frames(seed, t):
+    """A tiny model whose blank logit follows feature 0 and whose context
+    moves with each label, and frames whose feature 0 holds a level for
+    stretches: high (blank), low (a label whatever the context) or near zero
+    (blank or not, depending on the context)."""
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    params.joint_w[0] = (4.0, 0.0, 0.0, 0.0)
+    params.embed[:] = rng.normal(size=params.embed.shape)
+    params.lm_proj.w[:] *= 3.0
+    feats = rng.normal(size=(t, cfg.encoded_size))
+    start = 0
+    while start < t:
+        stretch = feats[start : start + int(rng.integers(1, 30)), 0]  # a view
+        stretch[:] = rng.choice((3.0, -3.0, 0.0)) + 0.3 * rng.normal(size=len(stretch))
+        start += len(stretch)
+    return cfg, params, feats
+
+
+def test_windowed_search_equals_the_frame_by_frame_loop():
+    longest_blank_run = back_to_back = blank_after_emission = 0
+    for seed in range(6):
+        for t in (1, 2, 3, 5, 9, 40, 150):
+            cfg, params, feats = _biased_model_and_frames(seed, t)
+            for mode, cap in (("paper_greedy", 1), ("multi_emit", 1), ("multi_emit", 2),
+                              ("multi_emit", 3)):
+                want, at = _greedy_reference(feats, params, cfg, cap)
+                got = dc.greedy_decode(feats, params, cfg, dc.DecodeConfig(mode, cap))
+                assert got == want, (seed, t, mode, cap)
+                gaps = np.diff([-1, *at, t]) - 1  # blank frames between emissions
+                longest_blank_run = max(longest_blank_run, int(gaps.max()))
+                back_to_back += int(np.sum(np.diff(at) <= 1))
+                per_frame = np.bincount(at, minlength=t)
+                blank_after_emission += int(np.sum((per_frame > 0) & (per_frame < cap)))
+    assert longest_blank_run >= 3 * dc._FIRST_WINDOW  # the window doubled at least once
+    assert back_to_back > 0
+    assert blank_after_emission > 0  # a frame rescored with a new context went blank

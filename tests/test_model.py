@@ -149,6 +149,16 @@ def test_visual_encode_shape_law(width):
     assert feats.shape == (cfg.frames_for_width(width), cfg.encoded_size)
 
 
+@pytest.mark.parametrize("width", [1, 31, 901])
+def test_inference_forward_equals_the_cached_forward(width):
+    cfg = full_config()
+    params = md.init_params(cfg, seed=3)
+    image = np.random.default_rng(width).random((32, width))
+    feats, cache = md.visual_encode_cached(image, params, cfg)
+    assert len(cache.blocks) == len(cfg.conv_blocks)
+    assert np.array_equal(md.visual_encode(image, params, cfg), feats)
+
+
 def test_visual_encode_rejects_wrong_height():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=1)
@@ -218,11 +228,36 @@ def test_joint_returns_log_distribution():
     assert abs(np.log(np.sum(np.exp(out)))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_joint_block_rows_match_single_frame_calls(n):
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=6)
+    rng = np.random.default_rng(n)
+    frames, context = rng.normal(size=(n, 4)), rng.normal(size=4)
+    block = md.joint(frames, context, params)
+    assert block.shape == (n, cfg.vocab_size + 1)
+    for row, f in zip(block, frames):
+        assert np.max(np.abs(row - md.joint(f, context, params))) <= 1e-12
+        assert abs(np.log(np.sum(np.exp(row)))) < 1e-12
+
+
+def test_joint_block_is_a_lattice_column():
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=7)
+    image = np.random.default_rng(3).random((4, 9))
+    lattice, cache = md.forward_lattice(image, (1, 3), params, cfg)
+    for u in range(3):
+        assert np.max(np.abs(md.joint(cache.feats, cache.ctx[u], params) - lattice[:, u])) <= 1e-12
+
+
 def test_joint_rejects_size_mismatch():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=6)
-    with pytest.raises(UsageError):
-        md.joint(np.zeros(3), np.zeros(4), params)
+    for f, g in ((np.zeros(3), np.zeros(4)), (np.zeros((2, 3)), np.zeros(4)),
+                 (np.zeros((2, 4)), np.zeros(3)), (np.zeros((2, 4)), np.zeros((2, 4))),
+                 (np.zeros((2, 2, 4)), np.zeros(4))):
+        with pytest.raises(UsageError):
+            md.joint(f, g, params)
 
 
 # --- full forward -------------------------------------------------------------

@@ -337,6 +337,8 @@ def test_slice_pooling_is_bitwise_equal_to_window_argmax(hw, pool):
         pooled, argmax = nm.maxpool2d(x, pool)
         ref_pooled, ref_argmax = _maxpool2d_reference(x, pool)
         assert np.array_equal(pooled, ref_pooled) and np.array_equal(argmax, ref_argmax)
+        values, no_argmax = nm.maxpool2d(x, pool, need_argmax=False)
+        assert no_argmax is None and np.array_equal(values, ref_pooled)
         grad_out = rng.normal(size=pooled.shape)
         assert np.array_equal(nm.maxpool2d_backward(grad_out, argmax, x.shape, pool),
                               _maxpool2d_backward_reference(grad_out, argmax, x.shape, pool))
