@@ -187,13 +187,8 @@ def _unskewed(skew: np.ndarray, t_total: int) -> np.ndarray:
     return skew[np.arange(t_total)[:, None] + u, u]
 
 
-def rnnt_forward(lattice: np.ndarray, labels) -> tuple[np.ndarray, float]:
-    """Forward pass: alpha[t, u] = log-mass of consuming t frames, emitting u labels.
-
-    alpha[0, 0] = 0, alpha[t][u] = LSE(alpha[t-1][u] + blank(t-1, u),
-    alpha[t][u-1] + label(t, u-1)); log Pr = alpha[T-1][U] + blank(T-1, U).
-    """
-    blank, label = _diagonal_transitions(lattice, tuple(labels))
+def _alpha_diagonals(blank: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, float]:
+    """alpha in diagonal-major form, and log Pr, from _diagonal_transitions' tables."""
     diagonals, rows = blank.shape
     alpha = np.full((diagonals, rows), NEG_INF)
     alpha[0, 0] = 0.0
@@ -202,16 +197,11 @@ def rnnt_forward(lattice: np.ndarray, labels) -> tuple[np.ndarray, float]:
         np.add(alpha[n - 1], blank[n - 1], out=stay)
         np.add(alpha[n - 1, :-1], label[n - 1], out=move[1:])
         np.logaddexp(stay, move, out=alpha[n])
-    return _unskewed(alpha, lattice.shape[0]), float(alpha[-1, -1] + blank[-1, -1])
+    return alpha, float(alpha[-1, -1] + blank[-1, -1])
 
 
-def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
-    """Backward pass: beta[t, u] = log-mass of completions from (t, u),
-    including the terminal blank; beta[0, 0] equals the total log-probability.
-    beta[T-1][U] = blank(T-1, U), beta[t][u] = LSE(beta[t+1][u] + blank(t, u),
-    beta[t][u+1] + label(t, u)).
-    """
-    blank, label = _diagonal_transitions(lattice, tuple(labels))
+def _beta_diagonals(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """beta in diagonal-major form, from _diagonal_transitions' tables."""
     diagonals, rows = blank.shape
     beta = np.full((diagonals, rows), NEG_INF)
     beta[-1, -1] = blank[-1, -1]
@@ -220,24 +210,52 @@ def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
         np.add(beta[n + 1], blank[n], out=stay)
         np.add(beta[n + 1, 1:], label[n], out=move[:-1])
         np.logaddexp(stay, move, out=beta[n])
+    return beta
+
+
+def rnnt_forward(lattice: np.ndarray, labels) -> tuple[np.ndarray, float]:
+    """Forward pass: alpha[t, u] = log-mass of consuming t frames, emitting u labels.
+
+    alpha[0, 0] = 0, alpha[t][u] = LSE(alpha[t-1][u] + blank(t-1, u),
+    alpha[t][u-1] + label(t, u-1)); log Pr = alpha[T-1][U] + blank(T-1, U).
+    """
+    alpha, log_prob = _alpha_diagonals(*_diagonal_transitions(lattice, tuple(labels)))
+    return _unskewed(alpha, lattice.shape[0]), log_prob
+
+
+def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
+    """Backward pass: beta[t, u] = log-mass of completions from (t, u),
+    including the terminal blank; beta[0, 0] equals the total log-probability.
+    beta[T-1][U] = blank(T-1, U), beta[t][u] = LSE(beta[t+1][u] + blank(t, u),
+    beta[t][u+1] + label(t, u)).
+    """
+    beta = _beta_diagonals(*_diagonal_transitions(lattice, tuple(labels)))
     return _unskewed(beta, lattice.shape[0])
 
 
 def rnnt_alphabeta(lattice: np.ndarray, labels) -> AlphaBetaTables:
-    alpha, log_prob = rnnt_forward(lattice, labels)
-    return AlphaBetaTables(alpha=alpha, beta=rnnt_backward(lattice, labels), log_prob=log_prob)
+    """rnnt_forward and rnnt_backward over one gather of the transitions."""
+    blank, label = _diagonal_transitions(lattice, tuple(labels))
+    alpha, log_prob = _alpha_diagonals(blank, label)
+    t_total = lattice.shape[0]
+    return AlphaBetaTables(alpha=_unskewed(alpha, t_total),
+                           beta=_unskewed(_beta_diagonals(blank, label), t_total),
+                           log_prob=log_prob)
 
 
-def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables) -> np.ndarray:
-    """Gradient of the loss L = -log Pr(y|x) wrt the lattice log-probabilities.
+def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables):
+    """Gradient of the loss L = -log Pr(y|x) wrt the lattice log-probabilities,
+    as (grad_blank (T, U+1), grad_label (T, U)): its entries at (t, u, blank)
+    and at (t, u, y[u+1]). Every other class's entry is zero, since no
+    transition uses it; dense_grad scatters the two tables back into the
+    (T, U+1, K+1) form.
 
     The posterior mass of each transition is
       gamma(t, u, blank)  = exp(alpha[t,u] + blank(t,u) + beta[t+1,u] - log Pr)
       gamma(t, u, y[u+1]) = exp(alpha[t,u] + label(t,u) + beta[t,u+1] - log Pr)
     (with beta[T, u] read as 0 at u = U and -inf otherwise); the gradient is
-    -gamma, and zero for classes no transition uses. Chaining through
-    log_softmax (numerics.log_softmax_backward) turns this into the raw-logit
-    gradient used for training.
+    -gamma. Chaining through log_softmax (numerics.log_softmax_backward)
+    turns this into the raw-logit gradient used for training.
     """
     labels = tuple(labels)
     _check_labels(lattice, labels)
@@ -246,13 +264,19 @@ def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables) -> np.ndarra
     beta_next = np.full((t_total, rows), NEG_INF)
     beta_next[:-1, :] = tables.beta[1:, :]
     beta_next[t_total - 1, rows - 1] = 0.0
-    grad = np.zeros_like(lattice)
-    grad[:, :, BLANK] = -np.exp(tables.alpha + blank + beta_next - tables.log_prob)
-    if labels:
-        gamma_label = np.exp(
-            tables.alpha[:, :-1] + label + tables.beta[:, 1:] - tables.log_prob
-        )
-        grad[:, np.arange(len(labels)), list(labels)] = -gamma_label
+    grad_blank = -np.exp(tables.alpha + blank + beta_next - tables.log_prob)
+    grad_label = -np.exp(tables.alpha[:, :-1] + label + tables.beta[:, 1:] - tables.log_prob)
+    return grad_blank, grad_label
+
+
+def dense_grad(grad_blank: np.ndarray, grad_label: np.ndarray, labels,
+               num_classes: int) -> np.ndarray:
+    """The (n, U+1, num_classes) gradient holding rnnt_grad's tables, or any
+    block of frames of them, at their classes, and zero elsewhere."""
+    n, rows = grad_blank.shape
+    grad = np.zeros((n, rows, num_classes))
+    grad[:, :, BLANK] = grad_blank
+    grad[:, np.arange(rows - 1), list(labels)] = grad_label
     return grad
 
 
@@ -260,10 +284,11 @@ def loss_and_logit_grad(logits: np.ndarray, labels):
     """(loss, grad): loss = -log Pr(y|x) of raw logits normalized per node, and
     its gradient wrt ``logits``, the transition posteriors chained back through
     the softmax. Training chains the same steps inside model.backward_pass."""
+    labels = tuple(labels)
     lattice = log_softmax(logits)
     tables = rnnt_alphabeta(lattice, labels)
-    grad_logprob = rnnt_grad(lattice, tuple(labels), tables)
-    grad = log_softmax_backward(grad_logprob, lattice)
+    grad_tables = rnnt_grad(lattice, labels, tables)
+    grad = log_softmax_backward(dense_grad(*grad_tables, labels, lattice.shape[2]), lattice)
     return -tables.log_prob, grad
 
 

@@ -5,9 +5,11 @@ a log-distribution over the extended label set.
 
 Training forward passes cache every intermediate needed by the hand-written
 backward pass (inference keeps none); `backward_pass` consumes the cache and
-the loss gradient at the lattice's log-probability level and produces
-gradients for every parameter tensor. Checkpoint serialization lives here
-too since its payload is exactly the parameter buffer.
+the loss gradient at the lattice's log-probability level, as the two
+transition tables of `lattice.rnnt_grad`, and produces gradients for every
+parameter tensor. Both run the joint over cache-sized blocks of frames.
+Checkpoint serialization lives here too since its payload is exactly the
+parameter buffer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConfigSection, UsageError, json_type_ok
-from .lattice import Vocab
+from .lattice import Vocab, dense_grad
 from .numerics import (
     LstmParams,
     affine_backward,
@@ -528,43 +530,72 @@ class ForwardCache:
     lattice: np.ndarray  # (T, U+1, K+1) log-probs
 
 
+_BLOCK_ELEMENTS = 2**15  # joint elements per block of frames: 256 KiB of float64
+
+
+def _frame_blocks(t_total: int, frame_elements: int):
+    """Slices of consecutive frames, each holding about _BLOCK_ELEMENTS joint
+    elements (at least one frame), so a block's temporaries stay in cache."""
+    step = max(1, _BLOCK_ELEMENTS // frame_elements)
+    return [slice(t, min(t + step, t_total)) for t in range(0, t_total, step)]
+
+
 def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
-    """Full forward pass producing the normalized (T, U+1, K+1) lattice."""
+    """Full forward pass producing the normalized (T, U+1, K+1) lattice and
+    the ForwardCache. The joint runs over blocks of frames (_frame_blocks),
+    each row with the same operations as joint's, so the only (T, U+1, K+1)
+    array made is the lattice itself."""
     feats, vis_cache = visual_encode_cached(image, params, config)
     ctx, lm_cache = linguistic_encode_cached(labels, params, config)
-    v = np.tanh(feats[:, None, :] + ctx[None, :, :] + params.joint_bias)
-    logits = v @ params.joint_w.T
-    lattice = log_softmax(logits)
+    t_total, (rows, enc), classes = feats.shape[0], ctx.shape, params.joint_w.shape[0]
+    lattice = np.empty((t_total, rows, classes))
+    v = np.empty((t_total, rows, enc))
+    for block in _frame_blocks(t_total, rows * classes):
+        vb = v[block]
+        np.add(feats[block, None, :], ctx, out=vb)
+        vb += params.joint_bias
+        np.tanh(vb, out=vb)
+        lattice[block] = log_softmax(vb @ params.joint_w.T)
     return lattice, ForwardCache(vis_cache, lm_cache, feats, ctx, v, lattice)
 
 
-def backward_pass(grad_lattice: np.ndarray, cache: ForwardCache,
+def backward_pass(grad_tables, cache: ForwardCache,
                   params: ModelParams, config: ModelConfig) -> ModelParams:
-    """Parameter gradients from the loss gradient at the log-probability level.
+    """Parameter gradients from the loss gradient at the log-probability
+    level, given as lattice.rnnt_grad's (grad_blank (T, U+1), grad_label
+    (T, U)) tables.
 
-    Chains through the per-node softmax first, then splits the joint
-    gradient into its visual (sum over u) and linguistic (sum over t) parts.
+    Over the same blocks of frames as forward_lattice, each block's tables are
+    scattered into a dense block, chained through the per-node softmax and
+    the two joint GEMMs, and split into the joint-bias, visual (sum over u)
+    and linguistic (sum over t) gradients.
     """
-    if grad_lattice.shape != cache.lattice.shape:
-        raise UsageError(
-            f"gradient shape {grad_lattice.shape} does not match the cached "
-            f"lattice {cache.lattice.shape}"
-        )
+    lattice = cache.lattice
+    t_total, rows, classes = lattice.shape
+    shapes = tuple(np.shape(g) for g in grad_tables)
+    if shapes != ((t_total, rows), (t_total, rows - 1)):
+        raise UsageError(f"gradient tables of shapes {shapes} do not match the cached "
+                         f"lattice {lattice.shape}")
     if cache.tanh_joint.shape[2] != params.joint_w.shape[1]:
         raise UsageError("cache does not belong to these parameters")
+    grad_blank, grad_label = grad_tables
+    labels = cache.linguistic.ids[1:]
+    enc = cache.tanh_joint.shape[2]
     grads = zero_grads_shell(params)
-    d_logits = log_softmax_backward(grad_lattice, cache.lattice)
-    # the joint as GEMMs over the T*(U+1) lattice nodes
-    t_total, rows, enc = cache.tanh_joint.shape
-    d2 = d_logits.reshape(t_total * rows, -1)
-    v = cache.tanh_joint.reshape(t_total * rows, enc)
-    grads.joint_w += d2.T @ v
-    ds = d2 @ params.joint_w
-    ds *= 1.0 - v * v
-    ds = ds.reshape(t_total, rows, enc)
-    grads.joint_bias += ds.sum(axis=(0, 1))
-    _visual_backward(ds.sum(axis=1), cache.visual, params, config, grads)
-    _linguistic_backward(ds.sum(axis=0), cache.linguistic, params, config, grads)
+    grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
+    for block in _frame_blocks(t_total, rows * classes):
+        dense = dense_grad(grad_blank[block], grad_label[block], labels, classes)
+        d_logits = log_softmax_backward(dense, lattice[block]).reshape(-1, classes)
+        v = cache.tanh_joint[block].reshape(-1, enc)
+        grads.joint_w += d_logits.T @ v
+        ds = d_logits @ params.joint_w
+        ds *= 1.0 - v * v
+        ds = ds.reshape(-1, rows, enc)
+        grads.joint_bias += ds.sum(axis=(0, 1))
+        grad_feats[block] = ds.sum(axis=1)
+        grad_ctx += ds.sum(axis=0)
+    _visual_backward(grad_feats, cache.visual, params, config, grads)
+    _linguistic_backward(grad_ctx, cache.linguistic, params, config, grads)
     return grads
 
 
@@ -617,8 +648,8 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocab, params: ModelParams
 
 
 def load_checkpoint(path):
-    """Returns (config, vocab, params); any malformed or inconsistent content
-    is a ConfigError."""
+    """Returns (config, vocab, params); any malformed or inconsistent content,
+    a non-finite parameter included, is a ConfigError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -654,4 +685,7 @@ def load_checkpoint(path):
             f"{path}: payload is {payload} bytes, the model needs {params.flat.size * 8}"
         )
     params.flat[...] = np.frombuffer(blob, dtype="<f8", offset=16 + header_len)
+    if not np.all(np.isfinite(params.flat)):
+        name = next(n for n, a in named_arrays(params) if not np.all(np.isfinite(a)))
+        raise ConfigError(f"{path}: tensor {name} holds a non-finite value")
     return config, vocab, params

@@ -80,9 +80,11 @@ def antidiagonal_mass_error(rng, cases) -> float:
     for t, u, k in cases:
         logits, labels = _draw(rng, t, u, k)
         lattice = log_softmax(logits)
-        gamma = -rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+        grad_blank, grad_label = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+        gamma = -grad_blank
+        gamma[:, :-1] -= grad_label  # gamma[t, u]: the posterior mass leaving node (t, u)
         for n in range(t + u):
-            mass = sum(gamma[i, n - i].sum() for i in range(max(0, n - u), min(t, n + 1)))
+            mass = sum(gamma[i, n - i] for i in range(max(0, n - u), min(t, n + 1)))
             worst = max(worst, abs(mass - 1.0))
     return worst
 

@@ -220,9 +220,9 @@ def _augment_seed(base_seed: int, epoch: int, index: int) -> int:
 def _example_loss_grads(sample, labels, params, model_cfg, inv_batch):
     lattice, cache = forward_lattice(sample.image, labels, params, model_cfg)
     tables = rnnt_alphabeta(lattice, labels)
-    loss = -tables.log_prob
-    grad_lattice = rnnt_grad(lattice, labels, tables) * inv_batch
-    return loss, backward_pass(grad_lattice, cache, params, model_cfg)
+    grad_blank, grad_label = rnnt_grad(lattice, labels, tables)
+    return -tables.log_prob, backward_pass((grad_blank * inv_batch, grad_label * inv_batch),
+                                           cache, params, model_cfg)
 
 
 def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthConfig,

@@ -326,6 +326,24 @@ def test_decode_corrupt_checkpoint_exits_3(pipeline, tmp_path, capsys, corruptio
     assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", ["decode", "eval"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command, value):
+    from linerec.model import load_checkpoint, save_checkpoint
+
+    cfg_path, data, run = pipeline
+    config, vocab, params = load_checkpoint(run / "best.ckpt")
+    params.flat[5] = value
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, vocab, params)
+    extra = [str(next(data.rglob("*.pgm")))] if command == "decode" else []
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), command, "--checkpoint", str(bad)] + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert "tensor conv0.w holds a non-finite value" in err
+
+
 def test_empty_manifest_exits_2(pipeline, tmp_path, capsys):
     cfg_path, _, run = pipeline
     empty = tmp_path / "empty.tsv"

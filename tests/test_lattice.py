@@ -250,7 +250,7 @@ def test_grad_zero_for_unused_classes():
     rng = np.random.default_rng(67)
     labels = (2, 1)
     lat = lt.random_lattice(rng, 3, 2, 4)
-    grad = lt.rnnt_grad(lat, labels, lt.rnnt_alphabeta(lat, labels))
+    grad = lt.dense_grad(*lt.rnnt_grad(lat, labels, lt.rnnt_alphabeta(lat, labels)), labels, 5)
     for u in range(3):
         used = {0, labels[u]} if u < 2 else {0}
         for k in range(5):
@@ -275,6 +275,7 @@ def test_logprob_level_grad_chains_to_logit_grad():
     logits = rng.normal(size=(2, 2, 3))
     lat = log_softmax(logits)
     tables = lt.rnnt_alphabeta(lat, labels)
-    chained = log_softmax_backward(lt.rnnt_grad(lat, labels, tables), lat)
+    chained = log_softmax_backward(lt.dense_grad(*lt.rnnt_grad(lat, labels, tables), labels, 3),
+                                   lat)
     _, direct = lt.loss_and_logit_grad(logits, labels)
     assert np.allclose(chained, direct, atol=1e-14)

@@ -3,14 +3,17 @@ incremental-vs-batch linguistic equivalence, whole-network finite-difference
 gradients, and the checkpoint container."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linerec import model as md
+from linerec.cli import load_run_config
 from linerec.errors import ConfigError, UsageError
-from linerec.lattice import Vocab, rnnt_alphabeta, rnnt_forward, rnnt_grad, rnnt_loss_brute
+from linerec.lattice import (BLANK, NEG_INF, Vocab, dense_grad, rnnt_alphabeta, rnnt_forward,
+                             rnnt_grad, rnnt_loss_brute)
 from linerec.oracles import fd_grad, rel_err, tiny_model_config
 
 
@@ -291,8 +294,8 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=9)
     image = np.random.default_rng(4).random((4, 6))
-    lattice, cache = md.forward_lattice(image, (1, 2), params, cfg)
-    grads = md.backward_pass(np.zeros_like(lattice), cache, params, cfg)
+    _, cache = md.forward_lattice(image, (1, 2), params, cfg)
+    grads = md.backward_pass((np.zeros((3, 3)), np.zeros((3, 2))), cache, params, cfg)
     assert np.all(grads.flat == 0.0)
 
 
@@ -311,12 +314,13 @@ def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
     image = np.random.default_rng(5).random((4, 14))
     labels = (1, 2, 3, 1)
     lattice, cache = md.forward_lattice(image, labels, params, cfg)
-    grad_lattice = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+    grad_tables = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
     seen = {}
     for name in ("_visual_backward", "_linguistic_backward"):
         monkeypatch.setattr(md, name, lambda g, *rest, name=name: seen.setdefault(name, g))
-    grads = md.backward_pass(grad_lattice, cache, params, cfg)
+    grads = md.backward_pass(grad_tables, cache, params, cfg)
 
+    grad_lattice = dense_grad(*grad_tables, labels, lattice.shape[2])
     d_logits = md.log_softmax_backward(grad_lattice, cache.lattice)
     v = cache.tanh_joint
     ds = np.einsum("tuk,ke->tue", d_logits, params.joint_w) * (1.0 - v**2)
@@ -324,6 +328,112 @@ def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
     assert rel_err(grads.joint_bias, ds.sum(axis=(0, 1))) <= 1e-12
     assert rel_err(seen["_visual_backward"], ds.sum(axis=1)) <= 1e-12
     assert rel_err(seen["_linguistic_backward"], ds.sum(axis=0)) <= 1e-12
+
+
+def unblocked_joint(cache, params):
+    """The joint as forward_lattice ran it before blocking: (lattice, tanh_joint)."""
+    v = np.tanh(cache.feats[:, None, :] + cache.ctx[None, :, :] + params.joint_bias)
+    return md.log_softmax(v @ params.joint_w.T), v
+
+
+def dense_rnnt_grad(lattice, labels, tables):
+    """rnnt_grad before it returned two tables: the dense (T, U+1, K+1) gradient."""
+    t_total, rows = lattice.shape[0], lattice.shape[1]
+    beta_next = np.full((t_total, rows), NEG_INF)
+    beta_next[:-1, :] = tables.beta[1:, :]
+    beta_next[t_total - 1, rows - 1] = 0.0
+    grad = np.zeros_like(lattice)
+    grad[:, :, BLANK] = -np.exp(tables.alpha + lattice[:, :, BLANK] + beta_next - tables.log_prob)
+    if labels:
+        label = lattice[:, np.arange(len(labels)), list(labels)]
+        gamma_label = np.exp(tables.alpha[:, :-1] + label + tables.beta[:, 1:] - tables.log_prob)
+        grad[:, np.arange(len(labels)), list(labels)] = -gamma_label
+    return grad
+
+
+def unblocked_backward(grad_lattice, cache, params, cfg):
+    """backward_pass before blocking, from the dense gradient."""
+    grads = md.zero_grads_shell(params)
+    d_logits = md.log_softmax_backward(grad_lattice, cache.lattice)
+    t_total, rows, enc = cache.tanh_joint.shape
+    d2 = d_logits.reshape(t_total * rows, -1)
+    v = cache.tanh_joint.reshape(t_total * rows, enc)
+    grads.joint_w += d2.T @ v
+    ds = (d2 @ params.joint_w) * (1.0 - v * v)
+    ds = ds.reshape(t_total, rows, enc)
+    grads.joint_bias += ds.sum(axis=(0, 1))
+    md._visual_backward(ds.sum(axis=1), cache.visual, params, cfg, grads)
+    md._linguistic_backward(ds.sum(axis=0), cache.linguistic, params, cfg, grads)
+    return grads
+
+
+# (image width, labels, vocab size, _BLOCK_ELEMENTS, blocks); tiny T = ceil(width / 2)
+BLOCKED_JOINT_CASES = {
+    "one_frame": (2, (1, 2), 3, 2**15, 1),
+    "below_one_block": (13, (2, 1, 3), 3, 2**15, 1),
+    "t_not_a_multiple_of_the_block": (13, (2, 1, 3), 3, 2 * 16, 4),
+    "no_labels": (9, (), 3, 2 * 4, 3),
+    "frame_exceeds_the_block": (11, (5, 40, 7), 40, 100, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_JOINT_CASES))
+def test_blocked_joint_matches_the_unblocked_reference(monkeypatch, case):
+    width, labels, vocab_size, block_elements, blocks = BLOCKED_JOINT_CASES[case]
+    monkeypatch.setattr(md, "_BLOCK_ELEMENTS", block_elements)
+    cfg = tiny_model_config(vocab_size=vocab_size)
+    params = md.init_params(cfg, seed=31)
+    image = np.random.default_rng(32).random((4, width))
+    lattice, cache = md.forward_lattice(image, labels, params, cfg)
+    t_total, rows, classes = lattice.shape
+    assert len(md._frame_blocks(t_total, rows * classes)) == blocks
+
+    ref_lattice, ref_v = unblocked_joint(cache, params)
+    assert np.array_equal(lattice, ref_lattice) and np.array_equal(cache.tanh_joint, ref_v)
+
+    tables = rnnt_alphabeta(lattice, labels)
+    grad_blank, grad_label = rnnt_grad(lattice, labels, tables)
+    dense = dense_rnnt_grad(lattice, labels, tables)
+    used = np.zeros(dense.shape, dtype=bool)
+    used[:, :, BLANK] = True
+    used[:, np.arange(len(labels)), list(labels)] = True
+    assert np.array_equal(grad_blank, dense[:, :, BLANK])
+    assert np.array_equal(grad_label, dense[:, np.arange(len(labels)), list(labels)])
+    assert np.all(dense[~used] == 0.0)
+
+    grads = md.backward_pass((grad_blank, grad_label), cache, params, cfg)
+    ref = unblocked_backward(dense, cache, params, cfg)
+    assert np.array_equal(cache.tanh_joint, ref_v)  # the backward leaves the cache alone
+    # per tensor, against the largest gradient: the conv biases feed a channel
+    # norm, so their exact gradient is zero and both hold only round-off
+    scale = np.max(np.abs(ref.flat))
+    for (name, got), (_, want) in zip(md.named_arrays(grads), md.named_arrays(ref)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+
+def test_training_joint_memory_stays_far_below_the_lattice():
+    """At T=145, U=60, K=1000 on s1 the lattice is 67.5 MiB; neither the
+    forward's transient memory nor the backward's may reach a quarter of it."""
+    s1 = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "s1.json").model
+    cfg = md.ModelConfig.from_dict({**s1.to_dict(), "vocab_size": 1000})
+    params = md.init_params(cfg, seed=0)
+    rng = np.random.default_rng(41)
+    image = rng.random((cfg.input_height, 1160))
+    labels = tuple(int(x) for x in rng.integers(1, 1001, size=60))
+    tracemalloc.start()
+    try:
+        lattice, cache = md.forward_lattice(image, labels, params, cfg)
+        kept, forward_peak = tracemalloc.get_traced_memory()
+        tables = rnnt_alphabeta(lattice, labels)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        md.backward_pass(rnnt_grad(lattice, labels, tables), cache, params, cfg)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lattice.shape == (145, 61, 1001)
+    assert forward_peak - kept < lattice.nbytes / 4
+    assert backward_peak - before < lattice.nbytes / 4
 
 
 def test_embedding_gradient_sums_repeated_label_ids():
@@ -475,6 +585,18 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 16])
     with pytest.raises(ConfigError):
+        md.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index, tensor", [(5, "conv0.w"), (-1, "joint.w")])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, value, index, tensor):
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=1)
+    params.flat[index] = value
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, cfg, Vocab(("a", "b", "c")), params)
+    with pytest.raises(ConfigError, match=f"tensor {tensor} holds a non-finite value"):
         md.load_checkpoint(path)
 
 
