@@ -93,7 +93,7 @@ def load_run_config(path=None) -> RunConfig:
             raise DataError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
             raise ConfigError(f"{p}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{p}: top level must be a JSON object")

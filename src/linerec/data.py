@@ -302,7 +302,7 @@ def write_charset(path, vocab: Vocab) -> None:
 def load_charset(path) -> Vocab:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
     symbols = text.splitlines()
     if not symbols:
@@ -339,7 +339,7 @@ def load_manifest(path, vocab: Vocab | None = None) -> list:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
     samples = []
     for n, line in enumerate(text.splitlines(), start=1):

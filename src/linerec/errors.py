@@ -1,5 +1,6 @@
 """Exception types and the config-section base shared across the package."""
 
+import math
 from dataclasses import asdict, fields
 from typing import get_type_hints
 
@@ -21,10 +22,14 @@ class TrainingError(Exception):
 
 
 def json_type_ok(kind, value) -> bool:
-    """Whether JSON ``value`` fits a field of type ``kind``; true/false fit bool only."""
+    """Whether JSON ``value`` fits a field of type ``kind``; true/false fit bool
+    only, and a float field takes finite numbers only (json reads NaN and
+    Infinity, which every range check would pass)."""
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
 
 
 class ConfigSection:
@@ -50,8 +55,9 @@ class ConfigSection:
             raise ConfigError(f"unknown {cls.section} config keys: {sorted(unknown)}")
         for name, kind in get_type_hints(cls).items():
             if name in d and not json_type_ok(kind, d[name]):
-                raise ConfigError(f"bad {cls.section} config: {name} must be "
-                                  f"{getattr(kind, '__name__', kind)}, got {d[name]!r}")
+                what = "a finite number" if kind is float else getattr(kind, "__name__", kind)
+                raise ConfigError(f"bad {cls.section} config: {name} must be {what}, "
+                                  f"got {d[name]!r}")
         try:
             cfg = cls(**d)
             cfg.validate()

@@ -5,15 +5,17 @@ The label distribution at every lattice node (t, u) lives in a
 the blank symbol. A path through the lattice consumes one frame per blank
 (t+1) and emits one label per non-blank (u+1), ends with a blank at
 (T-1, U), and therefore has length T+U. The conditional probability of a
-label sequence is the sum of path probabilities over all such alignments;
-the forward/backward recurrences below compute it in O(T*U) and are
-validated against full enumeration, never trusted on their own.
+label sequence is the sum of path probabilities over all such alignments.
+rnnt_alphabeta, the one forward-backward entry point, computes it in O(T*U)
+from one gather of the blank and label transitions, and rnnt_grad turns its
+tables into the loss gradient; both are validated against full enumeration,
+never trusted on their own.
 
-Both passes run as an anti-diagonal wavefront (Graves 2012, arXiv 1211.3711):
-the nodes with t+u = n depend only on diagonal n-1, so each diagonal is one
-vector step. Every node runs the scalar recurrence's adds and logaddexp in the
-same operand order, and logaddexp(x, -inf) is exactly x, so the results are
-bitwise equal to the node-by-node recurrence.
+Both recurrences run as an anti-diagonal wavefront (Graves 2012, arXiv
+1211.3711): the nodes with t+u = n depend only on diagonal n-1, so each
+diagonal is one vector step. Every node runs the scalar recurrence's adds and
+logaddexp in the same operand order, and logaddexp(x, -inf) is exactly x, so
+the results are bitwise equal to the node-by-node recurrence.
 
 Indexing is zero-based throughout: t in [0, T), u in [0, U].
 """
@@ -50,10 +52,6 @@ class Vocab:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def extended_size(self) -> int:
-        return len(self.symbols) + 1
-
     def encode(self, text: str) -> tuple[int, ...]:
         index = {s: i + 1 for i, s in enumerate(self.symbols)}
         try:
@@ -62,21 +60,29 @@ class Vocab:
             raise UsageError(f"character {exc.args[0]!r} not in vocabulary") from None
 
     def decode(self, ids) -> str:
-        out = []
-        for i in ids:
-            if not 1 <= i <= self.size:
-                raise UsageError(f"label id {i} outside [1, {self.size}]")
-            out.append(self.symbols[i - 1])
-        return "".join(out)
+        return "".join(self.symbols[i - 1] for i in check_label_ids(ids, self.size))
+
+
+def check_label_ids(labels, num_labels: int) -> tuple[int, ...]:
+    """``labels`` as a tuple of ints. A label id is an integer in
+    [1, num_labels], blank (0) excluded; any other id is a UsageError."""
+    labels = tuple(labels)
+    for i in labels:
+        if not isinstance(i, (int, np.integer)) or not 1 <= i <= num_labels:
+            raise UsageError(f"label id {i} is not an integer in [1, {num_labels}]")
+    return tuple(int(i) for i in labels)
 
 
 @dataclass
 class AlphaBetaTables:
-    """Forward/backward log-mass tables plus the total log-probability."""
+    """Forward/backward log-mass tables, the total log-probability, and the
+    transition log-probs they were computed from."""
 
     alpha: np.ndarray  # (T, U+1)
     beta: np.ndarray  # (T, U+1)
     log_prob: float
+    blank: np.ndarray  # (T, U+1): lattice[t, u, blank]
+    label: np.ndarray  # (T, U): lattice[t, u, y[u+1]]
 
 
 def remove_blanks(alignment, num_classes: int | None = None) -> tuple[int, ...]:
@@ -111,23 +117,21 @@ def enumerate_alignments(num_frames: int, labels) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_labels(lattice: np.ndarray, labels) -> None:
+def _check_labels(lattice: np.ndarray, labels) -> tuple[int, ...]:
+    """``labels`` checked against a (T, U+1, K+1) lattice, as check_label_ids returns them."""
+    labels = tuple(labels)
     if lattice.ndim != 3 or lattice.shape[0] < 1:
         raise UsageError(f"lattice shape {lattice.shape} is not (T, U+1, K+1) with T >= 1")
     if lattice.shape[1] != len(labels) + 1:
         raise UsageError(
             f"lattice has {lattice.shape[1]} rows, labels need {len(labels) + 1}"
         )
-    k = lattice.shape[2] - 1
-    for lab in labels:
-        if not 1 <= lab <= k:
-            raise UsageError(f"label id {lab} outside [1, {k}]")
+    return check_label_ids(labels, lattice.shape[2] - 1)
 
 
 def alignment_log_prob(lattice: np.ndarray, labels, alignment) -> float:
     """Log-probability of one path: walk from (0, 0), blanks move t, labels move u."""
-    labels = tuple(labels)
-    _check_labels(lattice, labels)
+    labels = _check_labels(lattice, labels)
     t_total = lattice.shape[0]
     if (
         len(alignment) != t_total + len(labels)
@@ -149,32 +153,20 @@ def alignment_log_prob(lattice: np.ndarray, labels, alignment) -> float:
 
 
 def rnnt_loss_brute(lattice: np.ndarray, labels) -> float:
-    """log Pr(y|x) by exhaustive enumeration; the oracle for rnnt_forward."""
+    """log Pr(y|x) by exhaustive enumeration; the oracle for rnnt_alphabeta."""
     labels = tuple(labels)
     paths = enumerate_alignments(lattice.shape[0], labels)
     return logsumexp(np.array([alignment_log_prob(lattice, labels, a) for a in paths]))
 
 
-def _transition_slices(lattice: np.ndarray, labels):
-    """(blank, label) transition log-probs: shapes (T, U+1) and (T, U)."""
-    blank = lattice[:, :, BLANK]
-    if labels:
-        label = lattice[:, :-1, :][:, np.arange(len(labels)), list(labels)]
-    else:
-        label = np.zeros((lattice.shape[0], 0))
-    return blank, label
-
-
-def _diagonal_transitions(lattice: np.ndarray, labels):
-    """(blank, label) transition log-probs in diagonal-major form, shapes
-    (T+U, U+1) and (T+U, U): row n, column u holds the transitions leaving
-    node (n-u, u), and -inf where that node is off the lattice."""
-    _check_labels(lattice, labels)
-    t_total, rows = lattice.shape[0], lattice.shape[1]
+def _diagonal_transitions(blank: np.ndarray, label: np.ndarray):
+    """The (T, U+1) blank and (T, U) label transition tables skewed into
+    diagonal-major form, shapes (T+U, U+1) and (T+U, U): row n, column u holds
+    the transitions leaving node (n-u, u), and -inf where that node is off the
+    lattice."""
+    t_total, rows = blank.shape
     padded = np.full((t_total + 2 * rows - 2, 2 * rows - 1), NEG_INF)
-    padded[rows - 1 : rows - 1 + t_total] = np.concatenate(
-        _transition_slices(lattice, labels), axis=1
-    )
+    padded[rows - 1 : rows - 1 + t_total] = np.concatenate((blank, label), axis=1)
     u = np.concatenate([np.arange(rows), np.arange(rows - 1)])
     n = np.arange(t_total + rows - 1)[:, None]
     skew = padded[rows - 1 + n - u, np.arange(2 * rows - 1)]
@@ -213,42 +205,36 @@ def _beta_diagonals(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
     return beta
 
 
-def rnnt_forward(lattice: np.ndarray, labels) -> tuple[np.ndarray, float]:
-    """Forward pass: alpha[t, u] = log-mass of consuming t frames, emitting u labels.
-
-    alpha[0, 0] = 0, alpha[t][u] = LSE(alpha[t-1][u] + blank(t-1, u),
-    alpha[t][u-1] + label(t, u-1)); log Pr = alpha[T-1][U] + blank(T-1, U).
-    """
-    alpha, log_prob = _alpha_diagonals(*_diagonal_transitions(lattice, tuple(labels)))
-    return _unskewed(alpha, lattice.shape[0]), log_prob
-
-
-def rnnt_backward(lattice: np.ndarray, labels) -> np.ndarray:
-    """Backward pass: beta[t, u] = log-mass of completions from (t, u),
-    including the terminal blank; beta[0, 0] equals the total log-probability.
-    beta[T-1][U] = blank(T-1, U), beta[t][u] = LSE(beta[t+1][u] + blank(t, u),
-    beta[t][u+1] + label(t, u)).
-    """
-    beta = _beta_diagonals(*_diagonal_transitions(lattice, tuple(labels)))
-    return _unskewed(beta, lattice.shape[0])
-
-
 def rnnt_alphabeta(lattice: np.ndarray, labels) -> AlphaBetaTables:
-    """rnnt_forward and rnnt_backward over one gather of the transitions."""
-    blank, label = _diagonal_transitions(lattice, tuple(labels))
-    alpha, log_prob = _alpha_diagonals(blank, label)
+    """The forward-backward DP over one gather of the transitions
+    blank(t, u) = lattice[t, u, blank] and label(t, u) = lattice[t, u, y[u+1]].
+
+    alpha[t, u] is the log-mass of consuming t frames and emitting u labels:
+      alpha[0, 0] = 0,
+      alpha[t, u] = LSE(alpha[t-1, u] + blank(t-1, u), alpha[t, u-1] + label(t, u-1)),
+      log Pr = alpha[T-1, U] + blank(T-1, U).
+    beta[t, u] is the log-mass of the completions from (t, u), the terminal
+    blank included, so beta[0, 0] = log Pr:
+      beta[T-1, U] = blank(T-1, U),
+      beta[t, u] = LSE(beta[t+1, u] + blank(t, u), beta[t, u+1] + label(t, u)).
+    """
+    labels = _check_labels(lattice, labels)
+    blank = lattice[:, :, BLANK]
+    label = lattice[:, np.arange(len(labels)), list(labels)]
+    skewed = _diagonal_transitions(blank, label)
+    alpha, log_prob = _alpha_diagonals(*skewed)
     t_total = lattice.shape[0]
     return AlphaBetaTables(alpha=_unskewed(alpha, t_total),
-                           beta=_unskewed(_beta_diagonals(blank, label), t_total),
-                           log_prob=log_prob)
+                           beta=_unskewed(_beta_diagonals(*skewed), t_total),
+                           log_prob=log_prob, blank=blank, label=label)
 
 
-def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables):
+def rnnt_grad(tables: AlphaBetaTables):
     """Gradient of the loss L = -log Pr(y|x) wrt the lattice log-probabilities,
-    as (grad_blank (T, U+1), grad_label (T, U)): its entries at (t, u, blank)
-    and at (t, u, y[u+1]). Every other class's entry is zero, since no
-    transition uses it; dense_grad scatters the two tables back into the
-    (T, U+1, K+1) form.
+    from rnnt_alphabeta's tables, as (grad_blank (T, U+1), grad_label (T, U)):
+    its entries at (t, u, blank) and at (t, u, y[u+1]). Every other class's
+    entry is zero, since no transition uses it; dense_grad scatters the two
+    tables back into the (T, U+1, K+1) form.
 
     The posterior mass of each transition is
       gamma(t, u, blank)  = exp(alpha[t,u] + blank(t,u) + beta[t+1,u] - log Pr)
@@ -257,15 +243,13 @@ def rnnt_grad(lattice: np.ndarray, labels, tables: AlphaBetaTables):
     -gamma. Chaining through log_softmax (numerics.log_softmax_backward)
     turns this into the raw-logit gradient used for training.
     """
-    labels = tuple(labels)
-    _check_labels(lattice, labels)
-    t_total, rows = lattice.shape[0], lattice.shape[1]
-    blank, label = _transition_slices(lattice, labels)
+    t_total, rows = tables.alpha.shape
     beta_next = np.full((t_total, rows), NEG_INF)
     beta_next[:-1, :] = tables.beta[1:, :]
     beta_next[t_total - 1, rows - 1] = 0.0
-    grad_blank = -np.exp(tables.alpha + blank + beta_next - tables.log_prob)
-    grad_label = -np.exp(tables.alpha[:, :-1] + label + tables.beta[:, 1:] - tables.log_prob)
+    grad_blank = -np.exp(tables.alpha + tables.blank + beta_next - tables.log_prob)
+    grad_label = -np.exp(tables.alpha[:, :-1] + tables.label + tables.beta[:, 1:]
+                         - tables.log_prob)
     return grad_blank, grad_label
 
 
@@ -287,8 +271,7 @@ def loss_and_logit_grad(logits: np.ndarray, labels):
     labels = tuple(labels)
     lattice = log_softmax(logits)
     tables = rnnt_alphabeta(lattice, labels)
-    grad_tables = rnnt_grad(lattice, labels, tables)
-    grad = log_softmax_backward(dense_grad(*grad_tables, labels, lattice.shape[2]), lattice)
+    grad = log_softmax_backward(dense_grad(*rnnt_grad(tables), labels, lattice.shape[2]), lattice)
     return -tables.log_prob, grad
 
 

@@ -3,11 +3,12 @@ LSTM + projection), linguistic context encoder (embedding + LSTM stack +
 projection), and the joint decoder that turns a (feature, context) pair into
 a log-distribution over the extended label set.
 
-Training forward passes cache every intermediate needed by the hand-written
-backward pass (inference keeps none); `backward_pass` consumes the cache and
-the loss gradient at the lattice's log-probability level, as the two
+Training forward passes cache what the hand-written backward pass reads
+and nothing more (inference keeps none); `backward_pass` consumes the cache
+and the loss gradient at the lattice's log-probability level, as the two
 transition tables of `lattice.rnnt_grad`, and produces gradients for every
 parameter tensor. Both run the joint over cache-sized blocks of frames.
+Label ids are checked once, by `lattice.check_label_ids`.
 Checkpoint serialization lives here too since its payload is exactly the
 parameter buffer.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConfigSection, UsageError, json_type_ok
-from .lattice import Vocab, dense_grad
+from .lattice import Vocab, check_label_ids, dense_grad
 from .numerics import (
     LstmParams,
     affine_backward,
@@ -107,13 +108,6 @@ class ModelConfig(ConfigSection):
                 f"conv stack leaves height {h}, must collapse input_height="
                 f"{self.input_height} to exactly 1"
             )
-
-    @property
-    def width_downsample(self) -> int:
-        out = 1
-        for blk in self.conv_blocks:
-            out *= blk[2][1]
-        return out
 
     def frames_for_width(self, width: int) -> int:
         t = width
@@ -440,31 +434,20 @@ def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
 @dataclass
 class LinguisticCache:
     ids: tuple
-    embedded: np.ndarray
     runs: list  # [LstmRunCache]
-
-
-def _check_label_ids(labels, vocab_size: int) -> tuple:
-    labels = tuple(int(i) for i in labels)
-    for i in labels:
-        if not 1 <= i <= vocab_size:
-            raise UsageError(f"label id {i} outside [1, {vocab_size}] (blank not allowed)")
-    return labels
 
 
 def linguistic_encode_cached(labels, params: ModelParams, config: ModelConfig):
     """Label history -> context rows (U+1, encoded_size); row 0 is the start
     context produced by feeding the blank token."""
-    labels = _check_label_ids(labels, config.vocab_size)
-    ids = (0,) + labels
-    embedded = params.embed[list(ids)]
-    seq = embedded
+    ids = (0,) + check_label_ids(labels, config.vocab_size)
+    seq = params.embed[list(ids)]
     runs = []
     for p in params.lm_rnn:
         seq, run = _run_lstm(seq, p, reverse=False)
         runs.append(run)
     ctx = affine_forward(seq, params.lm_proj.w, params.lm_proj.b)
-    return ctx, LinguisticCache(ids, embedded, runs)
+    return ctx, LinguisticCache(ids, runs)
 
 
 def linguistic_encode(labels, params, config) -> np.ndarray:
@@ -524,8 +507,6 @@ def joint(f: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
 class ForwardCache:
     visual: VisualCache
     linguistic: LinguisticCache
-    feats: np.ndarray  # (T, encoded)
-    ctx: np.ndarray  # (U+1, encoded)
     tanh_joint: np.ndarray  # (T, U+1, encoded)
     lattice: np.ndarray  # (T, U+1, K+1) log-probs
 
@@ -556,7 +537,7 @@ def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
         vb += params.joint_bias
         np.tanh(vb, out=vb)
         lattice[block] = log_softmax(vb @ params.joint_w.T)
-    return lattice, ForwardCache(vis_cache, lm_cache, feats, ctx, v, lattice)
+    return lattice, ForwardCache(vis_cache, lm_cache, v, lattice)
 
 
 def backward_pass(grad_tables, cache: ForwardCache,

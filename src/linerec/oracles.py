@@ -11,7 +11,7 @@ import numpy as np
 
 from .decode import greedy_decode
 from .lattice import (BLANK, enumerate_alignments, loss_and_logit_grad, remove_blanks,
-                      rnnt_alphabeta, rnnt_forward, rnnt_grad, rnnt_loss_brute)
+                      rnnt_alphabeta, rnnt_grad, rnnt_loss_brute)
 from .model import ModelConfig, init_params, visual_encode
 from .numerics import log_softmax
 
@@ -52,12 +52,12 @@ def _draw(rng, t: int, u: int, k: int):
 
 
 def loss_vs_enumeration(rng, cases) -> float:
-    """Worst |forward-recurrence log Pr - enumeration log Pr| over (T, U, K) cases."""
+    """Worst |rnnt_alphabeta log Pr - enumeration log Pr| over (T, U, K) cases."""
     worst = 0.0
     for t, u, k in cases:
         logits, labels = _draw(rng, t, u, k)
         lattice = log_softmax(logits)
-        _, log_prob = rnnt_forward(lattice, labels)
+        log_prob = rnnt_alphabeta(lattice, labels).log_prob
         worst = max(worst, abs(log_prob - rnnt_loss_brute(lattice, labels)))
     return worst
 
@@ -80,7 +80,7 @@ def antidiagonal_mass_error(rng, cases) -> float:
     for t, u, k in cases:
         logits, labels = _draw(rng, t, u, k)
         lattice = log_softmax(logits)
-        grad_blank, grad_label = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+        grad_blank, grad_label = rnnt_grad(rnnt_alphabeta(lattice, labels))
         gamma = -grad_blank
         gamma[:, :-1] -= grad_label  # gamma[t, u]: the posterior mass leaving node (t, u)
         for n in range(t + u):

@@ -157,14 +157,6 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def cer(hypothesis: str, reference: str) -> float:
-    """Edit distance over reference length; an empty reference scores 0 for
-    an empty hypothesis and 1 for any non-empty one."""
-    if not reference:
-        return 0.0 if not hypothesis else 1.0
-    return levenshtein(hypothesis, reference) / len(reference)
-
-
 def corpus_cer(pairs) -> float:
     """Total edits over total reference length across (hypothesis, reference)
     pairs. Empty references still contribute their edits. All-empty
@@ -220,7 +212,7 @@ def _augment_seed(base_seed: int, epoch: int, index: int) -> int:
 def _example_loss_grads(sample, labels, params, model_cfg, inv_batch):
     lattice, cache = forward_lattice(sample.image, labels, params, model_cfg)
     tables = rnnt_alphabeta(lattice, labels)
-    grad_blank, grad_label = rnnt_grad(lattice, labels, tables)
+    grad_blank, grad_label = rnnt_grad(tables)
     return -tables.log_prob, backward_pass((grad_blank * inv_batch, grad_label * inv_batch),
                                            cache, params, model_cfg)
 

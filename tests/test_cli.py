@@ -122,6 +122,19 @@ def test_invalid_json_exits_3(tmp_path, capsys):
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section,key", [("train", "base_lr"), ("train", "grad_clip_norm"),
+                                         ("data", "rotation")])
+def test_non_finite_float_config_value_exits_3(tmp_path, capsys, section, key, value):
+    path = write_config(tmp_path, **{section: {key: float(value)}})
+    assert value in path.read_text(encoding="utf-8")  # json writes the bare literal
+    capsys.readouterr()
+    assert main(["--config", str(path), "verify", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert key in err
+
+
 def test_missing_config_file_exits_2():
     assert main(["--config", "/no/such/file.json", "verify", "--trials", "1"]) == 2
 
@@ -360,6 +373,31 @@ def test_empty_manifest_exits_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "empty.tsv" in err, err
         assert err.count("\n") == 1, err
+
+
+def test_input_files_that_are_not_utf8_exit_with_one_line(pipeline, tmp_path, capsys):
+    cfg_path, data, _ = pipeline
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["train"]["checkpoint_dir"] = str(tmp_path / "run")
+    charset = tmp_path / "charset.txt"
+    charset.write_bytes(b"a\n\xff\n")
+    row = (data / "train.tsv").read_bytes().splitlines()[0].split(b"\t")
+    manifest = tmp_path / "train.tsv"
+    manifest.write_bytes(str(data / row[0].decode()).encode() + b"\t" + row[1] + b"\tab\xff\n")
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_bytes(b"\xff" + cfg_path.read_bytes())
+    runs = []
+    for key, bad in (("charset", charset), ("manifest", manifest)):
+        run_config = tmp_path / f"bad_{key}.json"
+        run_config.write_text(json.dumps({**doc, "paths": {**doc["paths"], key: str(bad)}}),
+                              encoding="utf-8")
+        runs.append((["--config", str(run_config), "train"], 2, "data error:"))
+    runs.append((["--config", str(bad_config), "verify"], 3, "configuration error:"))
+    for argv, code, prefix in runs:
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def test_train_missing_manifest_exits_2(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linerec import lattice as lt
+from linerec import model as md
 from linerec import oracles
 from linerec.errors import UsageError
 from linerec.numerics import log_softmax, log_softmax_backward
@@ -29,7 +30,6 @@ def test_vocab_encode_decode_roundtrip():
     v = lt.Vocab(("a", "b", "c"))
     assert v.encode("cab") == (3, 1, 2)
     assert v.decode((3, 1, 2)) == "cab"
-    assert v.extended_size == 4
 
 
 def test_vocab_rejects_duplicates_and_unknown():
@@ -39,6 +39,25 @@ def test_vocab_rejects_duplicates_and_unknown():
         lt.Vocab(("a", "b")).encode("ax")
     with pytest.raises(UsageError):
         lt.Vocab(("a", "b")).decode((0,))
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, "a", None, 0, 4, -1])
+def test_every_label_consumer_rejects_ids_that_are_not_integers_in_range(bad):
+    cfg = oracles.tiny_model_config()  # K = 3
+    params = md.init_params(cfg, seed=0)
+    consumers = (lambda ids: lt.check_label_ids(ids, 3),
+                 lambda ids: lt.Vocab(("a", "b", "c")).decode(ids),
+                 lambda ids: lt.rnnt_alphabeta(uniform_lattice(2, 2, 3), ids),
+                 lambda ids: md.linguistic_encode_cached(ids, params, cfg))
+    for consume in consumers:
+        consume((1, 3))
+        with pytest.raises(UsageError):
+            consume((1, bad))
+
+
+def test_label_ids_come_back_as_python_ints():
+    ids = lt.check_label_ids(np.array([3, 1, 2]), 3)
+    assert ids == (3, 1, 2) and all(type(i) is int for i in ids)
 
 
 # --- blank removal ---------------------------------------------------------------
@@ -163,7 +182,7 @@ def test_brute_uniform_lattice_closed_form():
 def test_forward_unique_path_t1_u1():
     rng = np.random.default_rng(47)
     lat = lt.random_lattice(rng, 1, 1, 4)
-    _, log_prob = lt.rnnt_forward(lat, (3,))
+    log_prob = lt.rnnt_alphabeta(lat, (3,)).log_prob
     assert log_prob == pytest.approx(lat[0, 0, 3] + lat[0, 1, 0], abs=1e-12)
 
 
@@ -179,7 +198,7 @@ def test_loss_nonnegative_on_normalized_lattices():
         t, u = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
         lat = lt.random_lattice(rng, t, u, 3)
-        assert -lt.rnnt_forward(lat, labels)[1] >= 0.0
+        assert -lt.rnnt_alphabeta(lat, labels).log_prob >= 0.0
 
 
 def test_backward_agrees_with_forward():
@@ -188,14 +207,14 @@ def test_backward_agrees_with_forward():
         t, u = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
         lat = lt.random_lattice(rng, t, u, 3)
-        beta = lt.rnnt_backward(lat, labels)
-        assert abs(beta[0, 0] - lt.rnnt_forward(lat, labels)[1]) < 1e-10
+        tables = lt.rnnt_alphabeta(lat, labels)
+        assert abs(tables.beta[0, 0] - tables.log_prob) < 1e-10
 
 
 def test_backward_terminal_blank():
     rng = np.random.default_rng(61)
     lat = lt.random_lattice(rng, 1, 0, 3)
-    assert lt.rnnt_backward(lat, ())[0, 0] == pytest.approx(lat[0, 0, 0], abs=1e-12)
+    assert lt.rnnt_alphabeta(lat, ()).beta[0, 0] == pytest.approx(lat[0, 0, 0], abs=1e-12)
 
 
 def scalar_alpha_beta(lat, labels):
@@ -234,13 +253,10 @@ def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
     lat = lt.random_lattice(rng, t, u, k)
     labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
     alpha, beta, log_prob = scalar_alpha_beta(lat, labels)
-    fwd_alpha, fwd_log_prob = lt.rnnt_forward(lat, labels)
     tables = lt.rnnt_alphabeta(lat, labels)
-    for got in (fwd_alpha, tables.alpha):
-        assert np.array_equal(got, alpha)
-    for got in (lt.rnnt_backward(lat, labels), tables.beta):
-        assert np.array_equal(got, beta)
-    assert fwd_log_prob == log_prob and tables.log_prob == log_prob
+    assert np.array_equal(tables.alpha, alpha)
+    assert np.array_equal(tables.beta, beta)
+    assert tables.log_prob == log_prob
 
 
 # --- gradients -----------------------------------------------------------------------------
@@ -250,7 +266,7 @@ def test_grad_zero_for_unused_classes():
     rng = np.random.default_rng(67)
     labels = (2, 1)
     lat = lt.random_lattice(rng, 3, 2, 4)
-    grad = lt.dense_grad(*lt.rnnt_grad(lat, labels, lt.rnnt_alphabeta(lat, labels)), labels, 5)
+    grad = lt.dense_grad(*lt.rnnt_grad(lt.rnnt_alphabeta(lat, labels)), labels, 5)
     for u in range(3):
         used = {0, labels[u]} if u < 2 else {0}
         for k in range(5):
@@ -275,7 +291,6 @@ def test_logprob_level_grad_chains_to_logit_grad():
     logits = rng.normal(size=(2, 2, 3))
     lat = log_softmax(logits)
     tables = lt.rnnt_alphabeta(lat, labels)
-    chained = log_softmax_backward(lt.dense_grad(*lt.rnnt_grad(lat, labels, tables), labels, 3),
-                                   lat)
+    chained = log_softmax_backward(lt.dense_grad(*lt.rnnt_grad(tables), labels, 3), lat)
     _, direct = lt.loss_and_logit_grad(logits, labels)
     assert np.allclose(chained, direct, atol=1e-14)

@@ -12,8 +12,8 @@ import pytest
 from linerec import model as md
 from linerec.cli import load_run_config
 from linerec.errors import ConfigError, UsageError
-from linerec.lattice import (BLANK, NEG_INF, Vocab, dense_grad, rnnt_alphabeta, rnnt_forward,
-                             rnnt_grad, rnnt_loss_brute)
+from linerec.lattice import (BLANK, NEG_INF, Vocab, dense_grad, rnnt_alphabeta, rnnt_grad,
+                             rnnt_loss_brute)
 from linerec.oracles import fd_grad, rel_err, tiny_model_config
 
 
@@ -59,7 +59,6 @@ def test_config_rejects_bad_sizes():
 
 def test_frames_follow_ceil_of_width_over_downsample():
     cfg = full_config()
-    assert cfg.width_downsample == 8
     for w in range(1, 200):
         assert cfg.frames_for_width(w) == math.ceil(w / 8)
 
@@ -248,9 +247,10 @@ def test_joint_block_is_a_lattice_column():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=7)
     image = np.random.default_rng(3).random((4, 9))
-    lattice, cache = md.forward_lattice(image, (1, 3), params, cfg)
+    lattice, _ = md.forward_lattice(image, (1, 3), params, cfg)
+    feats, ctx = md.visual_encode(image, params, cfg), md.linguistic_encode((1, 3), params, cfg)
     for u in range(3):
-        assert np.max(np.abs(md.joint(cache.feats, cache.ctx[u], params) - lattice[:, u])) <= 1e-12
+        assert np.max(np.abs(md.joint(feats, ctx[u], params) - lattice[:, u])) <= 1e-12
 
 
 def test_joint_rejects_size_mismatch():
@@ -283,7 +283,7 @@ def test_model_loss_matches_path_enumeration():
     image = np.random.default_rng(3).random((4, 6))
     labels = (1, 2)
     lattice, _ = md.forward_lattice(image, labels, params, cfg)
-    _, log_prob = rnnt_forward(lattice, labels)
+    log_prob = rnnt_alphabeta(lattice, labels).log_prob
     assert abs(log_prob - rnnt_loss_brute(lattice, labels)) < 1e-9
 
 
@@ -314,7 +314,7 @@ def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
     image = np.random.default_rng(5).random((4, 14))
     labels = (1, 2, 3, 1)
     lattice, cache = md.forward_lattice(image, labels, params, cfg)
-    grad_tables = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+    grad_tables = rnnt_grad(rnnt_alphabeta(lattice, labels))
     seen = {}
     for name in ("_visual_backward", "_linguistic_backward"):
         monkeypatch.setattr(md, name, lambda g, *rest, name=name: seen.setdefault(name, g))
@@ -330,9 +330,10 @@ def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
     assert rel_err(seen["_linguistic_backward"], ds.sum(axis=0)) <= 1e-12
 
 
-def unblocked_joint(cache, params):
+def unblocked_joint(image, labels, params, cfg):
     """The joint as forward_lattice ran it before blocking: (lattice, tanh_joint)."""
-    v = np.tanh(cache.feats[:, None, :] + cache.ctx[None, :, :] + params.joint_bias)
+    feats, ctx = md.visual_encode(image, params, cfg), md.linguistic_encode(labels, params, cfg)
+    v = np.tanh(feats[:, None, :] + ctx[None, :, :] + params.joint_bias)
     return md.log_softmax(v @ params.joint_w.T), v
 
 
@@ -388,11 +389,11 @@ def test_blocked_joint_matches_the_unblocked_reference(monkeypatch, case):
     t_total, rows, classes = lattice.shape
     assert len(md._frame_blocks(t_total, rows * classes)) == blocks
 
-    ref_lattice, ref_v = unblocked_joint(cache, params)
+    ref_lattice, ref_v = unblocked_joint(image, labels, params, cfg)
     assert np.array_equal(lattice, ref_lattice) and np.array_equal(cache.tanh_joint, ref_v)
 
     tables = rnnt_alphabeta(lattice, labels)
-    grad_blank, grad_label = rnnt_grad(lattice, labels, tables)
+    grad_blank, grad_label = rnnt_grad(tables)
     dense = dense_rnnt_grad(lattice, labels, tables)
     used = np.zeros(dense.shape, dtype=bool)
     used[:, :, BLANK] = True
@@ -427,7 +428,7 @@ def test_training_joint_memory_stays_far_below_the_lattice():
         tables = rnnt_alphabeta(lattice, labels)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        md.backward_pass(rnnt_grad(lattice, labels, tables), cache, params, cfg)
+        md.backward_pass(rnnt_grad(tables), cache, params, cfg)
         backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -497,9 +498,9 @@ def model_gradient_error(image, labels, params, cfg):
         return (*md.forward_lattice(image, labels, p, cfg), p)
 
     lattice, cache, p = forward(params.flat)
-    grad_lattice = rnnt_grad(lattice, labels, rnnt_alphabeta(lattice, labels))
+    grad_lattice = rnnt_grad(rnnt_alphabeta(lattice, labels))
     analytic = md.backward_pass(grad_lattice, cache, p, cfg).flat
-    numeric = fd_grad(lambda v: -rnnt_forward(forward(v)[0], labels)[1], params.flat)
+    numeric = fd_grad(lambda v: -rnnt_alphabeta(forward(v)[0], labels).log_prob, params.flat)
     return rel_err(analytic, numeric)
 
 

@@ -185,14 +185,6 @@ def full_matrix_distance(a: str, b: str) -> int:
     return int(d[len(a), len(b)])
 
 
-def test_cer_basic_cases():
-    assert tr.cer("abc", "abc") == 0.0
-    assert tr.cer("abd", "abc") == pytest.approx(1 / 3)
-    assert tr.cer("", "") == 0.0
-    assert tr.cer("x", "") == 1.0
-    assert tr.cer("", "ab") == 1.0
-
-
 def test_levenshtein_matches_independent_full_matrix_oracle():
     rng = np.random.default_rng(23)
     alphabet = "abcd"
