@@ -155,27 +155,30 @@ def split_nine_to_one(items):
 
 
 def _affine_sample(image: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Inverse-map bilinear warp about the image center, zero outside."""
+    """Inverse-map bilinear warp about the image center, zero outside.
+
+    The source coordinates are two outer sums. They are clamped to one pixel
+    beyond the image, which changes no value: every source point farther out
+    reads only zeros. One copy of the image with a zero border then serves
+    all four corners, with no per-corner masks."""
     h, w = image.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    coords = np.stack([rows - cy, cols - cx])  # (2, H, W)
     inv = np.linalg.inv(matrix)
-    src = np.tensordot(inv, coords, axes=1)
-    sr, sc = src[0] + cy, src[1] + cx
-    r0, c0 = np.floor(sr).astype(int), np.floor(sc).astype(int)
+    ry, rx = np.arange(h) - cy, np.arange(w) - cx
+    sr = np.clip(np.add.outer(inv[0, 0] * ry + cy, inv[0, 1] * rx), -1.0, h)
+    sc = np.clip(np.add.outer(inv[1, 0] * ry + cx, inv[1, 1] * rx), -1.0, w)
+    r0, c0 = np.floor(sr), np.floor(sc)
     fr, fc = sr - r0, sc - c0
-
-    def at(ri, ci):
-        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        return image[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)] * valid
-
-    return (
-        at(r0, c0) * (1 - fr) * (1 - fc)
-        + at(r0, c0 + 1) * (1 - fr) * fc
-        + at(r0 + 1, c0) * fr * (1 - fc)
-        + at(r0 + 1, c0 + 1) * fr * fc
-    )
+    stride = w + 3  # the copy spans rows -1 .. h + 1 and columns -1 .. w + 1
+    bordered = np.zeros((h + 3, stride))
+    bordered[1 : h + 1, 1 : w + 1] = image
+    flat = bordered.ravel()
+    at = (r0.astype(np.intp) + 1) * stride + c0.astype(np.intp) + 1
+    top, bottom = flat[at], flat[at + stride]
+    top += (flat[at + 1] - top) * fc
+    bottom += (flat[at + stride + 1] - bottom) * fc
+    top += (bottom - top) * fr
+    return top
 
 
 def augment(sample: LineSample, cfg: SynthConfig, strength: float, seed: int) -> LineSample:

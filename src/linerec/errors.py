@@ -23,12 +23,16 @@ class TrainingError(Exception):
 
 def json_type_ok(kind, value) -> bool:
     """Whether JSON ``value`` fits a field of type ``kind``; true/false fit bool
-    only, and a float field takes finite numbers only (json reads NaN and
-    Infinity, which every range check would pass)."""
+    only, and a float field takes numbers that are finite as floats only (json
+    reads NaN and Infinity, which every range check would pass, and integers
+    of any size)."""
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
     return isinstance(value, kind)
 
 

@@ -16,6 +16,7 @@ parameter buffer.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -119,7 +120,7 @@ class ModelConfig(ConfigSection):
 @dataclass
 class ConvBlockParams:
     w: np.ndarray  # (C_out, C_in, k, k)
-    b: np.ndarray  # (C_out,)
+    b: np.ndarray  # (C_out,)  cancelled by the norm, so the forward adds none
     gain: np.ndarray  # (C_out,)  channel-norm scale
     shift: np.ndarray  # (C_out,)
 
@@ -179,6 +180,33 @@ def named_arrays(params: ModelParams):
     yield "lm_proj.b", params.lm_proj.b
     yield "joint.b", params.joint_bias
     yield "joint.w", params.joint_w
+
+
+def tensor_shapes(config: ModelConfig) -> list:
+    """(name, shape) of every tensor in named_arrays order, from the config
+    alone: what a checkpoint must hold, known before anything is allocated."""
+    hs, enc, classes = config.hidden_size, config.encoded_size, config.vocab_size + 1
+    shapes, n_in = [], 1
+
+    def lstm(prefix: str, n: int) -> list:
+        return [(f"{prefix}.w_x", (4 * hs, n)), (f"{prefix}.w_h", (4 * hs, hs)),
+                (f"{prefix}.b", (4 * hs,))]
+
+    for i, (channels, kernel, _pool) in enumerate(config.conv_blocks):
+        shapes += [(f"conv{i}.w", (channels, n_in, kernel, kernel))]
+        shapes += [(f"conv{i}.{n}", (channels,)) for n in ("b", "gain", "shift")]
+        n_in = channels
+    for i in range(config.recurrent_layers_visual):
+        shapes += lstm(f"vis{i}.fwd", n_in) + lstm(f"vis{i}.bwd", n_in)
+        n_in = 2 * hs
+    shapes += [("vis_proj.w", (enc, 2 * hs)), ("vis_proj.b", (enc,)),
+               ("embed", (classes, config.embed_size))]
+    n_in = config.embed_size
+    for i in range(config.recurrent_layers_linguistic):
+        shapes += lstm(f"lm{i}", n_in)
+        n_in = hs
+    return shapes + [("lm_proj.w", (enc, hs)), ("lm_proj.b", (enc,)), ("joint.b", (enc,)),
+                     ("joint.w", (classes, enc))]
 
 
 def _on_buffer(params: ModelParams, flat: np.ndarray) -> ModelParams:
@@ -291,13 +319,15 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class ConvBlockCache:
-    """Backward inputs of one conv -> norm -> pool -> relu block. Relu commutes
-    with max pooling (same values, same first-max position where the window's
-    max is positive, zero gradient elsewhere), so it runs on the pooled map."""
+    """Backward inputs of one _conv_block. Its argmax is the normalized map's
+    first-max position (a zero-gain channel's is the centred map's), and relu
+    commutes with max pooling (same values, same first-max position where the
+    window's max is positive, zero gradient elsewhere), so ``pooled`` is the
+    relu input."""
 
     x_in: np.ndarray
     xhat: np.ndarray  # channel_norm's standardized map
-    inv_std: np.ndarray  # (C, 1, 1)
+    inv_std: np.ndarray  # (C,)
     pooled: np.ndarray  # pre-relu
     argmax: np.ndarray
 
@@ -359,17 +389,47 @@ def _run_lstm_backward(grad_out: np.ndarray, run: LstmRunCache, p: LstmParams,
     return dz @ p.w_x
 
 
+def _conv_block(x: np.ndarray, p: ConvBlockParams, pool, blocks: list | None) -> np.ndarray:
+    """conv -> norm -> pool -> relu, making the full-size map once. The conv
+    adds no bias (the norm cancels it) and negates the channels of negative
+    gain, since max pooling commutes with a positive scale only. channel_norm
+    centres its output in place, the pool reduces the centred map, and the
+    norm's affine and the relu touch the pooled map only. With ``blocks``
+    given, the pool also keeps its argmax, the centred map is scaled into
+    xhat in place, and the block's ConvBlockCache goes to ``blocks``."""
+    sign = np.where(p.gain < 0.0, -1.0, 1.0)
+    z = conv2d(x, p.w * sign[:, None, None, None])
+    scale, inv_std = channel_norm(z, p.gain)
+    pooled, argmax = maxpool2d(z, pool, need_argmax=blocks is not None)
+    pooled *= scale[:, None, None]
+    pooled += p.shift[:, None, None]
+    if blocks is not None:
+        z *= (sign * inv_std)[:, None, None]
+        blocks.append(ConvBlockCache(x, z, inv_std, pooled, argmax))
+    return np.maximum(pooled, 0.0)
+
+
+def _conv_block_backward(grad_out: np.ndarray, cache: ConvBlockCache, p: ConvBlockParams,
+                         pool, grads: ConvBlockParams, need_grad_x: bool):
+    """Adds the block's parameter gradients to ``grads``; returns the gradient
+    at its input, or None without need_grad_x."""
+    d_pool = grad_out * (cache.pooled > 0.0)
+    d_norm = maxpool2d_backward(d_pool, cache.argmax, cache.xhat.shape, pool)
+    d_conv, d_gain, d_shift = channel_norm_backward(d_norm, cache.xhat, cache.inv_std, p.gain)
+    grad_x, d_w, d_b = conv2d_backward(d_conv, cache.x_in, p.w, need_grad_x=need_grad_x)
+    grads.w += d_w
+    grads.b += d_b
+    grads.gain += d_gain
+    grads.shift += d_shift
+    return grad_x
+
+
 def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig, blocks: list | None):
-    """conv -> norm -> pool -> relu per block (ConvBlockCache says why the relu
-    is exact after the pool) -> (T, C_last); caches go to ``blocks`` if given."""
+    """Image -> (T, C_last) through the _conv_block of each conv block; caches
+    go to ``blocks`` if given."""
     x = image[None, :, :]
     for blk_params, blk_cfg in zip(params.conv, config.conv_blocks):
-        z = conv2d(x, blk_params.w, blk_params.b)
-        n, xhat, inv_std = channel_norm(z, blk_params.gain, blk_params.shift)
-        p, argmax = maxpool2d(n, blk_cfg[2], need_argmax=blocks is not None)
-        if blocks is not None:
-            blocks.append(ConvBlockCache(x, xhat, inv_std, p, argmax))
-        x = np.maximum(p, 0.0)
+        x = _conv_block(x, blk_params, blk_cfg[2], blocks)
     # (C, 1, T) -> (T, C)
     return x[:, 0, :].T
 
@@ -414,18 +474,9 @@ def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
     # sequence -> (C, 1, T) map
     grad_map = grad_seq.T[:, None, :]
     for i in reversed(range(len(params.conv))):
-        blk_cache, blk_params = cache.blocks[i], params.conv[i]
-        d_pool = grad_map * (blk_cache.pooled > 0.0)
-        d_norm = maxpool2d_backward(d_pool, blk_cache.argmax, blk_cache.xhat.shape,
-                                    config.conv_blocks[i][2])
-        d_conv, d_gain, d_shift = channel_norm_backward(d_norm, blk_cache.xhat,
-                                                        blk_cache.inv_std, blk_params.gain)
-        grad_map, d_w, d_b = conv2d_backward(d_conv, blk_cache.x_in, blk_params.w,
-                                             need_grad_x=i > 0)  # none for the image
-        grads.conv[i].w += d_w
-        grads.conv[i].b += d_b
-        grads.conv[i].gain += d_gain
-        grads.conv[i].shift += d_shift
+        grad_map = _conv_block_backward(grad_map, cache.blocks[i], params.conv[i],
+                                        config.conv_blocks[i][2], grads.conv[i],
+                                        need_grad_x=i > 0)  # none for the image
 
 
 # --- linguistic context encoder --------------------------------------------------
@@ -654,17 +705,15 @@ def load_checkpoint(path):
         raise ConfigError(
             f"{path}: charset has {vocab.size} symbols, config says {config.vocab_size}"
         )
-    params = init_params(config, seed=0)
-    expected = [(n, a.shape) for n, a in named_arrays(params)]
+    expected = tensor_shapes(config)  # both checks come before any allocation
     if tensors != expected:
         got, want = next(((t, e) for t, e in zip(tensors, expected) if t != e),
                          (f"{len(tensors)} tensors", len(expected)))
         raise ConfigError(f"{path}: header tensors differ from the model's: {got} instead of {want}")
-    payload = len(blob) - 16 - header_len
-    if payload != params.flat.size * 8:
-        raise ConfigError(
-            f"{path}: payload is {payload} bytes, the model needs {params.flat.size * 8}"
-        )
+    payload, needed = len(blob) - 16 - header_len, 8 * sum(math.prod(s) for _, s in expected)
+    if payload != needed:
+        raise ConfigError(f"{path}: payload is {payload} bytes, the model needs {needed}")
+    params = init_params(config, seed=0)
     params.flat[...] = np.frombuffer(blob, dtype="<f8", offset=16 + header_len)
     if not np.all(np.isfinite(params.flat)):
         name = next(n for n, a in named_arrays(params) if not np.all(np.isfinite(a)))

@@ -87,18 +87,25 @@ def affine_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
     return grad_x, grad_w, grad_b
 
 
-def channel_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
-    """Per-channel normalization of a (C, H, W) map over its own spatial extent.
+def channel_norm(x: np.ndarray, gain: np.ndarray):
+    """Per-channel normalization statistics of a contiguous (C, H, W) map over
+    its own spatial extent, so nothing else in a batch matters. They are taken
+    in place: each channel of ``x`` is centred, and its variance is one row
+    dot product. Returns (scale, inv_std), both (C,): inv_std =
+    1 / sqrt(var + LN_EPS), which maps the centred map to the standardized
+    xhat that channel_norm_backward takes, and scale = |gain| * inv_std.
 
-    Statistics come from the single sample itself, so the result does not
-    depend on anything else in a batch. Returns (gain * xhat + shift, xhat,
-    inv_std): the standardized map and the (C, 1, 1) 1 / sqrt(var + LN_EPS)
-    are what channel_norm_backward takes.
+    Max pooling commutes with a positive scale only, so a conv block hands in
+    its output with the channels of negative gain negated. The pool of the
+    normalized map gain * xhat + shift is then scale * maxpool2d(x) + shift.
     """
-    xhat = x - x.mean(axis=(1, 2), keepdims=True)
-    std = np.sqrt(np.mean(xhat * xhat, axis=(1, 2), keepdims=True) + LN_EPS)
-    xhat /= std
-    return gain[:, None, None] * xhat + shift[:, None, None], xhat, 1.0 / std
+    if not x.flags.c_contiguous:
+        raise UsageError("channel_norm centres a contiguous map in place")
+    flat = x.reshape(len(x), -1)  # a view of x
+    flat -= flat.mean(axis=1, keepdims=True)
+    var = (flat[:, None, :] @ flat[:, :, None]).ravel() / flat.shape[1]
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    return np.abs(gain) * inv_std, inv_std
 
 
 def channel_norm_backward(grad_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
@@ -111,7 +118,7 @@ def channel_norm_backward(grad_out: np.ndarray, xhat: np.ndarray, inv_std: np.nd
     grad_x = grad_out * n
     grad_x -= grad_shift[:, None, None]
     grad_x -= xhat * grad_gain[:, None, None]
-    grad_x *= gain[:, None, None] * inv_std / n
+    grad_x *= (gain * inv_std / n)[:, None, None]
     return grad_x, grad_gain, grad_shift
 
 
@@ -125,10 +132,11 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return view.reshape(c * kh * kw, h * w)
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Same-padded stride-1 convolution of a (C_in, H, W) map.
 
-    weights is (C_out, C_in, k, k) with odd k. Implemented as one GEMM of the
+    weights is (C_out, C_in, k, k) with odd k; without a bias none is added
+    (a channel_norm after the conv would cancel it). Implemented as one GEMM of the
     flattened weights with the input's im2col column matrix (Chellapilla,
     Puri & Simard 2006).
     """
@@ -138,7 +146,8 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if x.ndim != 3 or x.shape[0] != c_in:
         raise UsageError(f"conv2d input {x.shape} does not match weights {weights.shape}")
     out = (weights.reshape(c_out, -1) @ _columns(x, kh, kw)).reshape(c_out, *x.shape[1:])
-    out += bias[:, None, None]
+    if bias is not None:
+        out += bias[:, None, None]
     return out
 
 
@@ -161,28 +170,44 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
     return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w, grad_out.sum((1, 2))
 
 
+def _merge(acc: np.ndarray, part: np.ndarray) -> None:
+    """acc = max(acc, part) over part's extent, a leading corner of acc."""
+    corner = acc[:, : part.shape[1], : part.shape[2]]
+    np.maximum(corner, part, out=corner)
+
+
 def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True):
     """Ceil-mode max pooling of a (C, H, W) map.
 
-    Slice x[:, dy::ph, dx::pw] is offset (dy, dx) of every window, padded with
-    -inf only where the pool leaves partial windows. Returns (pooled, argmax):
-    the running maximum over the slices and the within-window index
-    dy * pw + dx of the first (row-major) maximum, since only a strictly
-    larger value moves it; that keeps the backward pass deterministic.
-    Without need_argmax, argmax is None and its compares are skipped.
+    Slice x[:, dy::ph, dx::pw] is offset (dy, dx) of every window that has
+    one. Returns (pooled, argmax): the running maximum over the slices and
+    the within-window index dy * pw + dx of the first (row-major) maximum,
+    since only a strictly larger value moves it; that keeps the backward pass
+    deterministic. The argmax pass pads the map with -inf where the pool
+    leaves partial windows. Without need_argmax, argmax is None and the
+    windows are reduced over their rows, then over their columns, each slice
+    merged into the corner it covers: ph + pw - 2 merges in place of
+    ph * pw - 1, with the same values, since max rounds nothing.
     """
     ph, pw = pool
+    if not need_argmax:
+        rows = x[:, ::ph].copy()
+        for dy in range(1, ph):
+            _merge(rows, x[:, dy::ph])
+        pooled = rows[:, :, ::pw].copy()
+        for dx in range(1, pw):
+            _merge(pooled, rows[:, :, dx::pw])
+        return pooled, None
     c, h, w = x.shape
     ho, wo = -(-h // ph), -(-w // pw)
     if (ho * ph, wo * pw) != (h, w):
         x, real = np.full((c, ho * ph, wo * pw), NEG_INF), x
         x[:, :h, :w] = real
     pooled = x[:, ::ph, ::pw].copy()
-    argmax = np.zeros((c, ho, wo), dtype=np.intp) if need_argmax else None
+    argmax = np.zeros((c, ho, wo), dtype=np.intp)
     for k in range(1, ph * pw):
         window = x[:, k // pw :: ph, k % pw :: pw]
-        if need_argmax:
-            np.copyto(argmax, k, where=window > pooled)
+        np.copyto(argmax, k, where=window > pooled)
         np.maximum(pooled, window, out=pooled)
     return pooled, argmax
 

@@ -135,6 +135,17 @@ def test_non_finite_float_config_value_exits_3(tmp_path, capsys, section, key, v
     assert key in err
 
 
+@pytest.mark.parametrize("section,key", [("train", "base_lr"), ("data", "rotation")])
+def test_integer_beyond_the_float_range_in_a_float_field_exits_3(tmp_path, capsys, section,
+                                                                  key):
+    path = write_config(tmp_path, **{section: {key: 10**400}})
+    capsys.readouterr()
+    assert main(["--config", str(path), "verify", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert key in err
+
+
 def test_missing_config_file_exits_2():
     assert main(["--config", "/no/such/file.json", "verify", "--trials", "1"]) == 2
 
@@ -323,6 +334,8 @@ CORRUPTIONS = {
         blob, lambda h: h.update(charset="".join(h["charset"]))),
     "config_with_layer_norm": lambda blob: _rewrite_header(
         blob, lambda h: h["config"].update(layer_norm=True)),
+    "config_far_larger_than_the_payload": lambda blob: _rewrite_header(
+        blob, lambda h: h["config"].update(hidden_size=1000)),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from linerec import data as dt
 from linerec.errors import ConfigError, DataError
 from linerec.lattice import Vocab
+from linerec.oracles import rel_err
 
 
 def cfg_of(**overrides):
@@ -173,6 +174,50 @@ def test_noise_only_augmentation_matches_configured_sigma():
     diff = out.image - flat.image
     assert abs(np.std(diff) - 0.05) < 0.05 * 0.05
     assert abs(np.mean(diff)) < 1e-3
+
+
+def _affine_sample_reference(image, matrix):
+    """The warp _affine_sample replaced: source coordinates from a meshgrid,
+    four masked reads of the image."""
+    h, w = image.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    src = np.tensordot(np.linalg.inv(matrix), np.stack([rows - cy, cols - cx]), axes=1)
+    sr, sc = src[0] + cy, src[1] + cx
+    r0, c0 = np.floor(sr).astype(int), np.floor(sc).astype(int)
+    fr, fc = sr - r0, sc - c0
+
+    def at(ri, ci):
+        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
+        return image[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)] * valid
+
+    return (at(r0, c0) * (1 - fr) * (1 - fc) + at(r0, c0 + 1) * (1 - fr) * fc
+            + at(r0 + 1, c0) * fr * (1 - fc) + at(r0 + 1, c0 + 1) * fr * fc)
+
+
+def _warp(angle, shear, scale):
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return rot @ np.array([[1.0, shear], [0.0, 1.0]]) * scale
+
+
+@pytest.mark.parametrize("shape", [(16, 106), (32, 1141), (1, 9), (7, 1), (1, 1), (5, 6)])
+def test_affine_sample_matches_the_masked_reference(shape):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    image = rng.random(shape)
+    # small jitters, a half turn, and warps that send most of the image outside
+    for matrix in [np.eye(2), _warp(0.1, 0.2, 1.1), _warp(-0.05, -0.3, 0.8),
+                   _warp(np.pi, 0.0, 1.0), _warp(0.9, 0.5, 3.0), _warp(-1.3, 0.0, 0.3)]:
+        assert rel_err(dt._affine_sample(image, matrix),
+                       _affine_sample_reference(image, matrix)) <= 1e-12
+
+
+def test_augment_makes_the_reference_warp_and_draws(monkeypatch):
+    cfg = cfg_of(noise_sigma=0.1)
+    s = dt.render_synthetic_line(cfg, seed=14)
+    fast = [dt.augment(s, cfg, 1.0, seed=k).image for k in range(5)]
+    monkeypatch.setattr(dt, "_affine_sample", _affine_sample_reference)
+    for k, image in enumerate(fast):
+        assert rel_err(image, dt.augment(s, cfg, 1.0, seed=k).image) <= 1e-12
 
 
 def test_augment_rejects_negative_strength():

@@ -2,7 +2,9 @@
 incremental-vs-batch linguistic equivalence, whole-network finite-difference
 gradients, and the checkpoint container."""
 
+import json
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from linerec import model as md
-from linerec.cli import load_run_config
+from linerec.cli import default_model_config, load_run_config
 from linerec.errors import ConfigError, UsageError
 from linerec.lattice import (BLANK, NEG_INF, Vocab, dense_grad, rnnt_alphabeta, rnnt_grad,
                              rnnt_loss_brute)
@@ -104,6 +106,13 @@ def test_named_tensors_tile_the_flat_buffer_in_order():
         assert offset == p.flat.size
 
 
+@pytest.mark.parametrize("cfg", [tiny_model_config(), tiny_model_config(recurrent_layers_visual=2),
+                                 full_config(recurrent_layers_linguistic=2)])
+def test_tensor_shapes_are_those_of_the_initialized_model(cfg):
+    params = md.init_params(cfg, seed=1)
+    assert md.tensor_shapes(cfg) == [(n, a.shape) for n, a in md.named_arrays(params)]
+
+
 def test_shells_and_clones_own_independent_buffers():
     params = md.init_params(tiny_model_config(), seed=11)
     before = params.flat.copy()
@@ -159,6 +168,23 @@ def test_inference_forward_equals_the_cached_forward(width):
     feats, cache = md.visual_encode_cached(image, params, cfg)
     assert len(cache.blocks) == len(cfg.conv_blocks)
     assert np.array_equal(md.visual_encode(image, params, cfg), feats)
+
+
+def test_visual_encode_memory_stays_within_four_block0_conv_outputs():
+    """Each conv block makes its full-size map once: on a 1,160-pixel s1 line
+    the peak is the block-1 im2col GEMM and its neighbours, not the norm's or
+    the pool's temporaries."""
+    cfg = default_model_config()
+    params = md.init_params(cfg, seed=0)
+    image = np.random.default_rng(5).random((cfg.input_height, 1160))
+    md.visual_encode(image, params, cfg)
+    tracemalloc.start()
+    try:
+        md.visual_encode(image, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cfg.conv_blocks[0][0] * image.size * 8
 
 
 def test_visual_encode_rejects_wrong_height():
@@ -599,6 +625,41 @@ def test_checkpoint_rejects_non_finite_parameters(tmp_path, value, index, tensor
     md.save_checkpoint(path, cfg, Vocab(("a", "b", "c")), params)
     with pytest.raises(ConfigError, match=f"tensor {tensor} holds a non-finite value"):
         md.load_checkpoint(path)
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    (size,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16 : 16 + size])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + size :]
+
+
+def _claim_hidden_1000(header):
+    header["config"]["hidden_size"] = 1000
+    config = md.ModelConfig.from_dict(header["config"])
+    header["tensors"] = [{"name": n, "shape": list(s)} for n, s in md.tensor_shapes(config)]
+
+
+@pytest.mark.parametrize("edit,refusal", [
+    (lambda h: h["config"].update(hidden_size=1000), "header tensors differ"),
+    (_claim_hidden_1000, "payload is"),
+], ids=["config_only", "config_and_tensor_list"])
+def test_checkpoint_checks_the_header_before_it_allocates(tmp_path, edit, refusal):
+    """A small file whose header describes a far larger model is refused before
+    that model is built: at hidden_size 1000 it would take about 180 MiB."""
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, tiny_model_config(), Vocab(("a", "b", "c")),
+                       md.init_params(tiny_model_config(), seed=1))
+    path.write_bytes(_with_header(path.read_bytes(), edit))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=refusal):
+            md.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

@@ -149,6 +149,15 @@ def test_affine_rowstacked_accumulates():
 # --- channel norm ------------------------------------------------------------
 
 
+def _normalized(x, gain, shift):
+    """(gain * xhat + shift, xhat, inv_std) of x through channel_norm's in-place
+    statistics, taken on a copy."""
+    centred = x.copy()
+    _, inv_std = nm.channel_norm(centred, gain)
+    xhat = centred * inv_std[:, None, None]
+    return gain[:, None, None] * xhat + shift[:, None, None], xhat, inv_std
+
+
 def test_channel_norm_gradients_match_fd():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(3, 4, 5))
@@ -156,18 +165,18 @@ def test_channel_norm_gradients_match_fd():
     shift = rng.normal(size=3)
     r = rng.normal(size=(3, 4, 5))
 
-    _, xhat, inv_std = nm.channel_norm(x, gain, shift)
+    _, xhat, inv_std = _normalized(x, gain, shift)
     gx, gg, gs = nm.channel_norm_backward(r, xhat, inv_std, gain)
     assert (
-        rel_err(gx, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(v, gain, shift)[0])), x))
+        rel_err(gx, fd_grad(lambda v: float(np.sum(r * _normalized(v, gain, shift)[0])), x))
         < 1e-6
     )
     assert (
-        rel_err(gg, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(x, v, shift)[0])), gain))
+        rel_err(gg, fd_grad(lambda v: float(np.sum(r * _normalized(x, v, shift)[0])), gain))
         < 1e-6
     )
     assert (
-        rel_err(gs, fd_grad(lambda v: float(np.sum(r * nm.channel_norm(x, gain, v)[0])), shift))
+        rel_err(gs, fd_grad(lambda v: float(np.sum(r * _normalized(x, gain, v)[0])), shift))
         < 1e-6
     )
 
@@ -222,8 +231,9 @@ def test_maxpool_gradient_matches_fd():
 # --- conv-block kernels against their plain references ------------------------
 #
 # The references are the straightforward forms the fast kernels replaced: one
-# shifted tensordot per kernel offset, a window tensor with argmax, and a norm
-# backward that recomputes its statistics from the input.
+# shifted tensordot per kernel offset, a window tensor with argmax, a norm
+# forward that makes its full-size affine, and a norm backward that recomputes
+# its statistics from the input.
 
 
 def _conv2d_reference(x, weights, bias):
@@ -279,6 +289,15 @@ def _maxpool2d_backward_reference(grad_out, argmax, in_shape, pool):
         c, ho * ph, wo * pw
     )
     return grad_xp[:, :h, :w]
+
+
+def _channel_norm_reference(x, gain, shift):
+    """The full-size norm the in-place statistics replaced: (gain * xhat + shift,
+    xhat, inv_std (C, 1, 1))."""
+    xhat = x - x.mean(axis=(1, 2), keepdims=True)
+    std = np.sqrt(np.mean(xhat * xhat, axis=(1, 2), keepdims=True) + nm.LN_EPS)
+    xhat /= std
+    return gain[:, None, None] * xhat + shift[:, None, None], xhat, 1.0 / std
 
 
 def _channel_norm_backward_reference(grad_out, x, gain):
@@ -365,14 +384,138 @@ def test_channel_norm_cached_statistics_match_recomputed_ones(shape):
     x = rng.normal(size=shape) * 3.0 + 1.0
     gain, shift = rng.normal(size=shape[0]), rng.normal(size=shape[0])
     grad_out = rng.normal(size=shape)
-    out, xhat, inv_std = nm.channel_norm(x, gain, shift)
+    centred = x.copy()
+    scale, inv_std = nm.channel_norm(centred, gain)
     mu, var = x.mean(axis=(1, 2), keepdims=True), x.var(axis=(1, 2), keepdims=True)
-    reference_out = gain[:, None, None] * ((x - mu) / np.sqrt(var + nm.LN_EPS)) + shift[:, None, None]
-    assert np.array_equal(out, reference_out)
+    assert rel_err(centred, x - mu) <= 1e-12
+    assert rel_err(inv_std, 1.0 / np.sqrt(var.ravel() + nm.LN_EPS)) <= 1e-12
+    assert np.array_equal(scale, np.abs(gain) * inv_std)
+    out, xhat, _ = _normalized(x, gain, shift)
+    reference_out, reference_xhat, _ = _channel_norm_reference(x, gain, shift)
+    assert rel_err(out, reference_out) <= 1e-12 and rel_err(xhat, reference_xhat) <= 1e-12
     fast = nm.channel_norm_backward(grad_out, xhat, inv_std, gain)
     for name, a, b in zip(("grad_x", "grad_gain", "grad_shift"), fast,
                           _channel_norm_backward_reference(grad_out, x, gain)):
         assert rel_err(a, b) <= 1e-12, name
+
+
+def test_channel_norm_rejects_a_map_it_cannot_centre_in_place():
+    with pytest.raises(UsageError):
+        nm.channel_norm(np.zeros((2, 3, 4))[:, :, ::2], np.ones(2))
+
+
+# --- one conv block against the reference kernels ---------------------------------
+#
+# The reference block runs the kernels the block replaced, in their order: the
+# conv with its bias, the norm's full-size affine, the pool of the normalized
+# map and the relu.
+
+
+def _conv_block_reference(x, p, pool, grad_out):
+    """(output, xhat, inv_std, argmax, gradients at x, w, b, gain and shift)."""
+    z = _conv2d_reference(x, p.w, p.b)
+    normalized, xhat, inv_std = _channel_norm_reference(z, p.gain, p.shift)
+    pooled, argmax = _maxpool2d_reference(normalized, pool)
+    d_norm = _maxpool2d_backward_reference(grad_out * (pooled > 0.0), argmax, z.shape, pool)
+    d_conv, d_gain, d_shift = _channel_norm_backward_reference(d_norm, z, p.gain)
+    grads = (*_conv2d_backward_reference(d_conv, x, p.w), d_gain, d_shift)
+    return np.maximum(pooled, 0.0), xhat, inv_std.ravel(), argmax, grads
+
+
+def _conv_block(x, p, pool, grad_out):
+    """The model's block, forward with its cache and backward: (output, cache,
+    gradients at x, w, b, gain and shift)."""
+    caches = []
+    out = md._conv_block(x, p, pool, caches)
+    grads = md.ConvBlockParams(*(np.zeros_like(a) for a in (p.w, p.b, p.gain, p.shift)))
+    grad_x = md._conv_block_backward(grad_out, caches[0], p, pool, grads, need_grad_x=True)
+    return out, caches[0], (grad_x, grads.w, grads.b, grads.gain, grads.shift)
+
+
+def _block_params(rng, c_in, k, draw):
+    gain = draw((4,)) + 0.5 * rng.choice([-1.0, 1.0], size=4)
+    gain[:2] = -abs(gain[0]), abs(gain[1])  # one channel of each sign at least
+    return md.ConvBlockParams(draw((4, c_in, k, k)), draw((4,)), gain, rng.normal(size=4))
+
+
+def _assert_gradients_match(fast, reference):
+    names = ("grad_x", "grad_w", "grad_b", "grad_gain", "grad_shift")
+    for name, a, b in zip(names, fast, reference):
+        if name == "grad_b":
+            # zero in exact arithmetic (the norm cancels the bias): both are
+            # rounding noise, far below the weight gradient
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(fast[1])), name
+        else:
+            assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
+
+
+BLOCK_CASES = [  # (c_in, h, w, k, pool): k 1, 3 and 5, width 1, odd widths, pools
+    (1, 8, 1, 3, (2, 2)),  # that do not divide the map, and the (8, 2) pool
+    (2, 7, 9, 1, (3, 2)),
+    (1, 6, 11, 5, (2, 2)),
+    (3, 16, 13, 3, (8, 2)),
+    (2, 11, 5, 5, (8, 2)),
+    (2, 1, 1, 3, (2, 2)),
+    (1, 32, 37, 3, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("c_in,h,w,k,pool", BLOCK_CASES)
+def test_conv_block_matches_the_reference_kernels(c_in, h, w, k, pool):
+    rng = np.random.default_rng(59 + 3 * k + h + w)
+    for _ in range(3):
+        p = _block_params(rng, c_in, k, lambda shape: rng.normal(size=shape))
+        x = rng.normal(size=(c_in, h, w))
+        grad_out = rng.normal(size=(4, -(-h // pool[0]), -(-w // pool[1])))
+        out, cache, grads = _conv_block(x, p, pool, grad_out)
+        ref_out, ref_xhat, ref_inv_std, ref_argmax, ref_grads = _conv_block_reference(
+            x, p, pool, grad_out)
+        assert rel_err(out, ref_out) <= 1e-12
+        assert rel_err(cache.xhat, ref_xhat) <= 1e-12
+        assert rel_err(cache.inv_std, ref_inv_std) <= 1e-12
+        assert np.array_equal(cache.argmax, ref_argmax)
+        assert np.array_equal(md._conv_block(x, p, pool, None), out)
+        _assert_gradients_match(grads, ref_grads)
+
+
+@pytest.mark.parametrize("c_in,h,w,k,pool", BLOCK_CASES)
+def test_conv_block_argmax_equals_the_reference_on_tie_heavy_maps(c_in, h, w, k, pool):
+    # integer images and weights: conv outputs are exact, equal patches tie exactly
+    rng = np.random.default_rng(61 + 3 * k + h + w)
+    for _ in range(10):
+        p = _block_params(rng, c_in, k, lambda shape: _tie_heavy(rng, shape))
+        x = _tie_heavy(rng, (c_in, h, w))
+        grad_out = _tie_heavy(rng, (4, -(-h // pool[0]), -(-w // pool[1])))
+        out, cache, grads = _conv_block(x, p, pool, grad_out)
+        ref_out, _, _, ref_argmax, ref_grads = _conv_block_reference(x, p, pool, grad_out)
+        assert np.array_equal(cache.argmax, ref_argmax)
+        assert rel_err(out, ref_out) <= 1e-12
+        _assert_gradients_match(grads, ref_grads)
+
+
+def test_a_zero_gain_channel_pools_its_centred_map():
+    # pooled = max over the window of gain * xhat, plus shift, has a kink in the
+    # gain at 0; the block treats 0 as a positive gain: the argmax is the
+    # centred map's first maximum and the gain gradient the derivative from above
+    rng = np.random.default_rng(67)
+    x = rng.normal(size=(2, 8, 9))
+    p = md.ConvBlockParams(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3),
+                           np.array([1.2, 0.0, -0.8]), np.array([0.3, 0.5, -0.2]))
+    pool = (2, 2)
+    grad_out = rng.normal(size=(3, 4, 5))
+    out, cache, grads = _conv_block(x, p, pool, grad_out)
+    _, ref_xhat, _, _, _ = _conv_block_reference(x, p, pool, grad_out)
+    assert np.array_equal(cache.argmax[1:2], _maxpool2d_reference(ref_xhat[1:2], pool)[1])
+    assert np.all(out[1] == p.shift[1])
+
+    def loss(g):
+        q = md.ConvBlockParams(p.w, p.b, np.array([1.2, g, -0.8]), p.shift)
+        return float(np.sum(grad_out * md._conv_block(x, q, pool, None)))
+
+    h = 1e-6
+    from_above, from_below = (loss(h) - loss(0.0)) / h, (loss(0.0) - loss(-h)) / h
+    assert abs(grads[3][1] - from_above) <= 1e-6 * abs(from_above)
+    assert abs(from_above - from_below) > 0.1 * abs(from_above)
 
 
 # --- LSTM ----------------------------------------------------------------------
