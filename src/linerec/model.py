@@ -254,62 +254,34 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_lstm(rng, n_in: int, hidden: int) -> LstmParams:
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0  # forget gate opens at init
-    return LstmParams(
-        w_x=_glorot(rng, (4 * hidden, n_in)),
-        w_h=_glorot(rng, (4 * hidden, hidden)),
-        b=b,
-    )
-
-
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Deterministic initialization; random draws happen in named_arrays order."""
+    """Deterministic initialization of the tensor_shapes(config) layout;
+    random draws happen in named_arrays order."""
     config.validate()
     rng = np.random.default_rng(seed)
     hs = config.hidden_size
-    conv = []
-    c_in = 1
-    for channels, kernel, _pool in config.conv_blocks:
-        conv.append(
-            ConvBlockParams(
-                w=_glorot(rng, (channels, c_in, kernel, kernel)),
-                b=np.zeros(channels),
-                gain=np.ones(channels),
-                shift=np.zeros(channels),
-            )
-        )
-        c_in = channels
-    vis_rnn = []
-    n_in = c_in
-    for _ in range(config.recurrent_layers_visual):
-        vis_rnn.append(
-            BiLstmParams(
-                fwd=_init_lstm(rng, n_in, hs),
-                bwd=_init_lstm(rng, n_in, hs),
-            )
-        )
-        n_in = 2 * hs
-    vis_proj = AffineParams(w=_glorot(rng, (config.encoded_size, 2 * hs)),
-                            b=np.zeros(config.encoded_size))
-    embed = rng.uniform(-0.1, 0.1, size=(config.vocab_size + 1, config.embed_size))
-    lm_rnn = []
-    n_in = config.embed_size
-    for _ in range(config.recurrent_layers_linguistic):
-        lm_rnn.append(_init_lstm(rng, n_in, hs))
-        n_in = hs
-    lm_proj = AffineParams(w=_glorot(rng, (config.encoded_size, hs)),
-                           b=np.zeros(config.encoded_size))
+    shape = dict(tensor_shapes(config))
+
+    def lstm(prefix: str) -> LstmParams:
+        w_x = _glorot(rng, shape[f"{prefix}.w_x"])
+        w_h = _glorot(rng, shape[f"{prefix}.w_h"])
+        b = np.zeros(shape[f"{prefix}.b"])
+        b[hs : 2 * hs] = 1.0  # forget gate opens at init
+        return LstmParams(w_x, w_h, b)
+
     params = ModelParams(
-        conv=conv,
-        vis_rnn=vis_rnn,
-        vis_proj=vis_proj,
-        embed=embed,
-        lm_rnn=lm_rnn,
-        lm_proj=lm_proj,
-        joint_bias=np.zeros(config.encoded_size),
-        joint_w=_glorot(rng, (config.vocab_size + 1, config.encoded_size)),
+        conv=[ConvBlockParams(w=_glorot(rng, shape[f"conv{i}.w"]), b=np.zeros(shape[f"conv{i}.b"]),
+                              gain=np.ones(shape[f"conv{i}.gain"]),
+                              shift=np.zeros(shape[f"conv{i}.shift"]))
+              for i in range(len(config.conv_blocks))],
+        vis_rnn=[BiLstmParams(fwd=lstm(f"vis{i}.fwd"), bwd=lstm(f"vis{i}.bwd"))
+                 for i in range(config.recurrent_layers_visual)],
+        vis_proj=AffineParams(w=_glorot(rng, shape["vis_proj.w"]), b=np.zeros(shape["vis_proj.b"])),
+        embed=rng.uniform(-0.1, 0.1, size=shape["embed"]),
+        lm_rnn=[lstm(f"lm{i}") for i in range(config.recurrent_layers_linguistic)],
+        lm_proj=AffineParams(w=_glorot(rng, shape["lm_proj.w"]), b=np.zeros(shape["lm_proj.b"])),
+        joint_bias=np.zeros(shape["joint.b"]),
+        joint_w=_glorot(rng, shape["joint.w"]),
     )
     return _on_buffer(params, np.concatenate([a.ravel() for _, a in named_arrays(params)]))
 

@@ -132,11 +132,11 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return view.reshape(c * kh * kw, h * w)
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Same-padded stride-1 convolution of a (C_in, H, W) map.
+def conv2d(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 convolution of a (C_in, H, W) map, with no bias
+    (the channel_norm after every conv cancels one).
 
-    weights is (C_out, C_in, k, k) with odd k; without a bias none is added
-    (a channel_norm after the conv would cancel it). Implemented as one GEMM of the
+    weights is (C_out, C_in, k, k) with odd k. Implemented as one GEMM of the
     flattened weights with the input's im2col column matrix (Chellapilla,
     Puri & Simard 2006).
     """
@@ -145,10 +145,7 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -
         raise UsageError("conv2d supports odd kernel sizes only")
     if x.ndim != 3 or x.shape[0] != c_in:
         raise UsageError(f"conv2d input {x.shape} does not match weights {weights.shape}")
-    out = (weights.reshape(c_out, -1) @ _columns(x, kh, kw)).reshape(c_out, *x.shape[1:])
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
+    return (weights.reshape(c_out, -1) @ _columns(x, kh, kw)).reshape(c_out, *x.shape[1:])
 
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
