@@ -8,8 +8,8 @@ the blank symbol. A path through the lattice consumes one frame per blank
 label sequence is the sum of path probabilities over all such alignments.
 rnnt_alphabeta, the one forward-backward entry point, computes it in O(T*U)
 from one gather of the blank and label transitions, and rnnt_grad turns its
-tables into the loss gradient; both are validated against full enumeration,
-never trusted on their own.
+tables into the loss gradient; both are validated against full enumeration
+(the oracles module), never trusted on their own.
 
 Both recurrences run as an anti-diagonal wavefront (Graves 2012, arXiv
 1211.3711): the nodes with t+u = n depend only on diagonal n-1, so each
@@ -22,17 +22,14 @@ Indexing is zero-based throughout: t in [0, T), u in [0, U].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
-from .numerics import NEG_INF, log_softmax, log_softmax_backward, logsumexp
+from .numerics import NEG_INF, log_softmax, log_softmax_backward
 
 BLANK = 0
-
-ENUMERATION_LIMIT = 12  # max T+U for brute-force enumeration; C(T+U-1, U) blows up
 
 
 @dataclass(frozen=True)
@@ -85,38 +82,6 @@ class AlphaBetaTables:
     label: np.ndarray  # (T, U): lattice[t, u, y[u+1]]
 
 
-def remove_blanks(alignment, num_classes: int | None = None) -> tuple[int, ...]:
-    """The blank-removal map: keeps non-blank ids in order."""
-    for a in alignment:
-        if a < 0 or (num_classes is not None and a > num_classes):
-            raise UsageError(f"alignment id {a} out of range")
-    return tuple(a for a in alignment if a != BLANK)
-
-
-def enumerate_alignments(num_frames: int, labels) -> list[tuple[int, ...]]:
-    """Every alignment of ``labels`` onto ``num_frames`` frames.
-
-    An alignment interleaves the U labels (in order) with T blanks and ends
-    with a blank, so it is determined by which of the first T+U-1 positions
-    carry labels: exactly C(T+U-1, U) alignments, no duplicates.
-    """
-    labels = tuple(labels)
-    t, u = num_frames, len(labels)
-    if t < 1:
-        raise UsageError("need at least one frame")
-    if t + u > ENUMERATION_LIMIT:
-        raise UsageError(
-            f"T+U = {t + u} exceeds the enumeration guard ({ENUMERATION_LIMIT})"
-        )
-    out = []
-    for label_slots in itertools.combinations(range(t + u - 1), u):
-        a = [BLANK] * (t + u)
-        for pos, lab in zip(label_slots, labels):
-            a[pos] = lab
-        out.append(tuple(a))
-    return out
-
-
 def _check_labels(lattice: np.ndarray, labels) -> tuple[int, ...]:
     """``labels`` checked against a (T, U+1, K+1) lattice, as check_label_ids returns them."""
     labels = tuple(labels)
@@ -127,36 +92,6 @@ def _check_labels(lattice: np.ndarray, labels) -> tuple[int, ...]:
             f"lattice has {lattice.shape[1]} rows, labels need {len(labels) + 1}"
         )
     return check_label_ids(labels, lattice.shape[2] - 1)
-
-
-def alignment_log_prob(lattice: np.ndarray, labels, alignment) -> float:
-    """Log-probability of one path: walk from (0, 0), blanks move t, labels move u."""
-    labels = _check_labels(lattice, labels)
-    t_total = lattice.shape[0]
-    if (
-        len(alignment) != t_total + len(labels)
-        or sum(1 for a in alignment if a == BLANK) != t_total
-        or alignment[-1] != BLANK
-        or remove_blanks(alignment, lattice.shape[2] - 1) != labels
-    ):
-        raise UsageError(f"not a valid alignment for T={t_total}, y={labels}")
-    t = u = 0
-    total = 0.0
-    for a in alignment:
-        if a == BLANK:
-            total += lattice[t, u, BLANK]
-            t += 1
-        else:
-            total += lattice[t, u, a]
-            u += 1
-    return float(total)
-
-
-def rnnt_loss_brute(lattice: np.ndarray, labels) -> float:
-    """log Pr(y|x) by exhaustive enumeration; the oracle for rnnt_alphabeta."""
-    labels = tuple(labels)
-    paths = enumerate_alignments(lattice.shape[0], labels)
-    return logsumexp(np.array([alignment_log_prob(lattice, labels, a) for a in paths]))
 
 
 def _diagonal_transitions(blank: np.ndarray, label: np.ndarray):
@@ -274,7 +209,3 @@ def loss_and_logit_grad(logits: np.ndarray, labels):
     grad = log_softmax_backward(dense_grad(*rnnt_grad(tables), labels, lattice.shape[2]), lattice)
     return -tables.log_prob, grad
 
-
-def random_lattice(rng: np.random.Generator, t: int, u: int, k: int) -> np.ndarray:
-    """A random normalized (T, U+1, K+1) lattice."""
-    return log_softmax(rng.normal(size=(t, u + 1, k + 1)))

@@ -15,6 +15,7 @@ parameter buffer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -39,13 +40,12 @@ from .numerics import (
     lstm_step,
     lstm_step_backward,
     lstm_step_cached,
-    lstm_zero_state,
     maxpool2d,
     maxpool2d_backward,
 )
 
 CHECKPOINT_MAGIC = b"LINERECK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -119,8 +119,7 @@ class ModelConfig(ConfigSection):
 
 @dataclass
 class ConvBlockParams:
-    w: np.ndarray  # (C_out, C_in, k, k)
-    b: np.ndarray  # (C_out,)  cancelled by the norm, so the forward adds none
+    w: np.ndarray  # (C_out, C_in, k, k); the conv has no bias, which the norm would cancel
     gain: np.ndarray  # (C_out,)  channel-norm scale
     shift: np.ndarray  # (C_out,)
 
@@ -140,8 +139,9 @@ class BiLstmParams:
 @dataclass
 class ModelParams:
     """Every trainable tensor, grouped by sub-network. Each tensor is a view
-    into ``flat``, one contiguous float64 buffer laid out in named_arrays
-    order, so whole-parameter operations are vector operations on it."""
+    into ``flat``, one contiguous float64 buffer laid out as tensor_shapes
+    lists them, so whole-parameter operations are vector operations on it;
+    ``named`` holds the (name, view) pairs in that order."""
 
     conv: list  # [ConvBlockParams]
     vis_rnn: list  # [BiLstmParams]
@@ -151,40 +151,20 @@ class ModelParams:
     lm_proj: AffineParams
     joint_bias: np.ndarray  # (encoded,)
     joint_w: np.ndarray  # (K+1, encoded)
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    flat: np.ndarray = field(repr=False, compare=False)
+    named: tuple = field(repr=False, compare=False)
 
 
-def _lstm_named(prefix: str, p: LstmParams):
-    yield f"{prefix}.w_x", p.w_x
-    yield f"{prefix}.w_h", p.w_h
-    yield f"{prefix}.b", p.b
-
-
-def named_arrays(params: ModelParams):
+def named_arrays(params: ModelParams) -> tuple:
     """(name, array) pairs in the canonical order: the layout of
     ``params.flat`` and of the checkpoint payload."""
-    for i, blk in enumerate(params.conv):
-        yield f"conv{i}.w", blk.w
-        yield f"conv{i}.b", blk.b
-        yield f"conv{i}.gain", blk.gain
-        yield f"conv{i}.shift", blk.shift
-    for i, bi in enumerate(params.vis_rnn):
-        yield from _lstm_named(f"vis{i}.fwd", bi.fwd)
-        yield from _lstm_named(f"vis{i}.bwd", bi.bwd)
-    yield "vis_proj.w", params.vis_proj.w
-    yield "vis_proj.b", params.vis_proj.b
-    yield "embed", params.embed
-    for i, p in enumerate(params.lm_rnn):
-        yield from _lstm_named(f"lm{i}", p)
-    yield "lm_proj.w", params.lm_proj.w
-    yield "lm_proj.b", params.lm_proj.b
-    yield "joint.b", params.joint_bias
-    yield "joint.w", params.joint_w
+    return params.named
 
 
 def tensor_shapes(config: ModelConfig) -> list:
-    """(name, shape) of every tensor in named_arrays order, from the config
-    alone: what a checkpoint must hold, known before anything is allocated."""
+    """(name, shape) of every parameter tensor in buffer order, from the config
+    alone: the one statement of the parameter layout, and what a checkpoint
+    must hold, known before anything is allocated."""
     hs, enc, classes = config.hidden_size, config.encoded_size, config.vocab_size + 1
     shapes, n_in = [], 1
 
@@ -193,8 +173,8 @@ def tensor_shapes(config: ModelConfig) -> list:
                 (f"{prefix}.b", (4 * hs,))]
 
     for i, (channels, kernel, _pool) in enumerate(config.conv_blocks):
-        shapes += [(f"conv{i}.w", (channels, n_in, kernel, kernel))]
-        shapes += [(f"conv{i}.{n}", (channels,)) for n in ("b", "gain", "shift")]
+        shapes += [(f"conv{i}.w", (channels, n_in, kernel, kernel)),
+                   (f"conv{i}.gain", (channels,)), (f"conv{i}.shift", (channels,))]
         n_in = channels
     for i in range(config.recurrent_layers_visual):
         shapes += lstm(f"vis{i}.fwd", n_in) + lstm(f"vis{i}.bwd", n_in)
@@ -209,39 +189,43 @@ def tensor_shapes(config: ModelConfig) -> list:
                      ("joint.w", (classes, enc))]
 
 
-def _on_buffer(params: ModelParams, flat: np.ndarray) -> ModelParams:
-    """The structure of ``params`` with every tensor a view into ``flat``."""
+def _on_buffer(layout: list, flat: np.ndarray) -> ModelParams:
+    """The ModelParams of a tensor_shapes ``layout`` over ``flat``: one view
+    per (name, shape), cut in order and bound into the tree by name."""
     views, offset = {}, 0
-    for _, a in named_arrays(params):
-        views[id(a)] = flat[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
 
-    def f(a: np.ndarray) -> np.ndarray:
-        return views[id(a)]
+    def layers(fmt: str) -> range:  # fmt.format(i) names a tensor of layer i
+        return range(next(i for i in itertools.count() if fmt.format(i) not in views))
 
-    def lstm(p: LstmParams) -> LstmParams:
-        return LstmParams(f(p.w_x), f(p.w_h), f(p.b))
+    def lstm(prefix: str) -> LstmParams:
+        return LstmParams(views[f"{prefix}.w_x"], views[f"{prefix}.w_h"], views[f"{prefix}.b"])
 
     return ModelParams(
-        conv=[ConvBlockParams(f(b.w), f(b.b), f(b.gain), f(b.shift)) for b in params.conv],
-        vis_rnn=[BiLstmParams(lstm(b.fwd), lstm(b.bwd)) for b in params.vis_rnn],
-        vis_proj=AffineParams(f(params.vis_proj.w), f(params.vis_proj.b)),
-        embed=f(params.embed),
-        lm_rnn=[lstm(p) for p in params.lm_rnn],
-        lm_proj=AffineParams(f(params.lm_proj.w), f(params.lm_proj.b)),
-        joint_bias=f(params.joint_bias),
-        joint_w=f(params.joint_w),
+        conv=[ConvBlockParams(views[f"conv{i}.w"], views[f"conv{i}.gain"], views[f"conv{i}.shift"])
+              for i in layers("conv{}.w")],
+        vis_rnn=[BiLstmParams(lstm(f"vis{i}.fwd"), lstm(f"vis{i}.bwd")) for i in layers("vis{}.fwd.b")],
+        vis_proj=AffineParams(views["vis_proj.w"], views["vis_proj.b"]),
+        embed=views["embed"],
+        lm_rnn=[lstm(f"lm{i}") for i in layers("lm{}.b")],
+        lm_proj=AffineParams(views["lm_proj.w"], views["lm_proj.b"]),
+        joint_bias=views["joint.b"],
+        joint_w=views["joint.w"],
         flat=flat,
+        named=tuple(views.items()),
     )
 
 
 def zero_grads_shell(params: ModelParams) -> ModelParams:
     """A ModelParams of zeros with the same shapes; gradient accumulator."""
-    return _on_buffer(params, np.zeros(params.flat.size))
+    return _on_buffer([(n, a.shape) for n, a in params.named], np.zeros(params.flat.size))
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    return _on_buffer(params, params.flat.copy())
+    return _on_buffer([(n, a.shape) for n, a in params.named], params.flat.copy())
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -255,35 +239,32 @@ def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Deterministic initialization of the tensor_shapes(config) layout;
-    random draws happen in named_arrays order."""
+    """Deterministic initialization of the tensor_shapes(config) layout. The
+    buffer is allocated once (a model too large for that is a ConfigError);
+    its tensors are drawn in layout order: embed uniform in [-0.1, 0.1], every
+    other weight matrix Glorot-uniform (a conv's fans include its receptive
+    field). Biases and shifts start at 0, norm gains at 1, and each LSTM's
+    forget-gate bias at 1."""
     config.validate()
+    layout = tensor_shapes(config)
+    size = sum(math.prod(shape) for _, shape in layout)
+    try:
+        flat = np.zeros(size)
+    except (MemoryError, ValueError):  # numpy's refusal of a size beyond its index range
+        raise ConfigError(f"the model has {size:,} parameters, too many to allocate") from None
+    params = _on_buffer(layout, flat)
     rng = np.random.default_rng(seed)
+    for name, a in params.named:
+        if name == "embed":
+            a[...] = rng.uniform(-0.1, 0.1, size=a.shape)
+        elif a.ndim > 1:
+            a[...] = _glorot(rng, a.shape)
     hs = config.hidden_size
-    shape = dict(tensor_shapes(config))
-
-    def lstm(prefix: str) -> LstmParams:
-        w_x = _glorot(rng, shape[f"{prefix}.w_x"])
-        w_h = _glorot(rng, shape[f"{prefix}.w_h"])
-        b = np.zeros(shape[f"{prefix}.b"])
-        b[hs : 2 * hs] = 1.0  # forget gate opens at init
-        return LstmParams(w_x, w_h, b)
-
-    params = ModelParams(
-        conv=[ConvBlockParams(w=_glorot(rng, shape[f"conv{i}.w"]), b=np.zeros(shape[f"conv{i}.b"]),
-                              gain=np.ones(shape[f"conv{i}.gain"]),
-                              shift=np.zeros(shape[f"conv{i}.shift"]))
-              for i in range(len(config.conv_blocks))],
-        vis_rnn=[BiLstmParams(fwd=lstm(f"vis{i}.fwd"), bwd=lstm(f"vis{i}.bwd"))
-                 for i in range(config.recurrent_layers_visual)],
-        vis_proj=AffineParams(w=_glorot(rng, shape["vis_proj.w"]), b=np.zeros(shape["vis_proj.b"])),
-        embed=rng.uniform(-0.1, 0.1, size=shape["embed"]),
-        lm_rnn=[lstm(f"lm{i}") for i in range(config.recurrent_layers_linguistic)],
-        lm_proj=AffineParams(w=_glorot(rng, shape["lm_proj.w"]), b=np.zeros(shape["lm_proj.b"])),
-        joint_bias=np.zeros(shape["joint.b"]),
-        joint_w=_glorot(rng, shape["joint.w"]),
-    )
-    return _on_buffer(params, np.concatenate([a.ravel() for _, a in named_arrays(params)]))
+    for p in [d for bi in params.vis_rnn for d in (bi.fwd, bi.bwd)] + params.lm_rnn:
+        p.b[hs : 2 * hs] = 1.0  # forget gate opens at init
+    for blk in params.conv:
+        blk.gain[...] = 1.0
+    return params
 
 
 # --- visual feature encoder ---------------------------------------------------
@@ -388,9 +369,8 @@ def _conv_block_backward(grad_out: np.ndarray, cache: ConvBlockCache, p: ConvBlo
     d_pool = grad_out * (cache.pooled > 0.0)
     d_norm = maxpool2d_backward(d_pool, cache.argmax, cache.xhat.shape, pool)
     d_conv, d_gain, d_shift = channel_norm_backward(d_norm, cache.xhat, cache.inv_std, p.gain)
-    grad_x, d_w, d_b = conv2d_backward(d_conv, cache.x_in, p.w, need_grad_x=need_grad_x)
+    grad_x, d_w = conv2d_backward(d_conv, cache.x_in, p.w, need_grad_x=need_grad_x)
     grads.w += d_w
-    grads.b += d_b
     grads.gain += d_gain
     grads.shift += d_shift
     return grad_x
@@ -492,7 +472,7 @@ def _linguistic_backward(grad_ctx: np.ndarray, cache: LinguisticCache,
 def linguistic_step(prev_label: int, states, params: ModelParams, config: ModelConfig):
     """One incremental step of the linguistic encoder.
 
-    ``states`` is a list with one LstmState per layer (see
+    ``states`` holds one (2, H) state, rows h and c, per layer (see
     linguistic_start_states); returns (context row, new states) and never
     mutates the input states. Composing steps over (blank, y1, ..., yU)
     reproduces linguistic_encode row for row.
@@ -508,8 +488,8 @@ def linguistic_step(prev_label: int, states, params: ModelParams, config: ModelC
     return g, new_states
 
 
-def linguistic_start_states(config: ModelConfig):
-    return [lstm_zero_state(config.hidden_size) for _ in range(config.recurrent_layers_linguistic)]
+def linguistic_start_states(config: ModelConfig) -> np.ndarray:
+    return np.zeros((config.recurrent_layers_linguistic, 2, config.hidden_size))
 
 
 # --- joint decoder ----------------------------------------------------------------
@@ -607,14 +587,17 @@ def backward_pass(grad_tables, cache: ForwardCache,
 #
 # Layout (everything little-endian):
 #   bytes 0-7    magic "LINERECK"
-#   bytes 8-11   u32 format version (currently 1)
+#   bytes 8-11   u32 format version (currently 2; version 1 is still read)
 #   bytes 12-15  u32 header length N
 #   bytes 16...  UTF-8 JSON header:
 #                  {"config": {...ModelConfig...},
 #                   "charset": ["a", "b", ...],
 #                   "tensors": [{"name": ..., "shape": [...]}, ...]}
 #   then the parameter buffer: float64 little-endian, every tensor in header
-#   order, and nothing after it.
+#   order, and nothing after it. The tensors are tensor_shapes(config).
+#   Version 1 also holds each conv block's bias, conv{i}.b of shape (C_i,),
+#   right after conv{i}.w; the norm after the conv cancels a bias, so loading
+#   checks it like any tensor and then drops it.
 # The README repeats this so non-Python readers can parse it.
 
 
@@ -651,9 +634,21 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocab, params: ModelParams
     write_atomically(path, write)
 
 
+def _v1_tensors(layout: list) -> list:
+    """A version-1 checkpoint's tensor list: ``layout`` with each conv block's
+    bias after its weights."""
+    out = []
+    for name, shape in layout:
+        out.append((name, shape))
+        if name.startswith("conv") and name.endswith(".w"):
+            out.append((f"{name[:-2]}.b", shape[:1]))
+    return out
+
+
 def load_checkpoint(path):
-    """Returns (config, vocab, params); any malformed or inconsistent content,
-    a non-finite parameter included, is a ConfigError."""
+    """Returns (config, vocab, params) from a version 2 or version 1 file; any
+    malformed or inconsistent content, a non-finite value anywhere in the
+    payload included, is a ConfigError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -661,7 +656,7 @@ def load_checkpoint(path):
     if len(blob) < 16:
         raise ConfigError(f"{path}: truncated in the fixed header")
     version, header_len = struct.unpack("<II", blob[8:16])
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
@@ -677,17 +672,21 @@ def load_checkpoint(path):
         raise ConfigError(
             f"{path}: charset has {vocab.size} symbols, config says {config.vocab_size}"
         )
-    expected = tensor_shapes(config)  # both checks come before any allocation
-    if tensors != expected:
-        got, want = next(((t, e) for t, e in zip(tensors, expected) if t != e),
-                         (f"{len(tensors)} tensors", len(expected)))
+    layout = tensor_shapes(config)  # both checks come before any allocation
+    stored = layout if version == CHECKPOINT_VERSION else _v1_tensors(layout)
+    if tensors != stored:
+        got, want = next(((t, e) for t, e in zip(tensors, stored) if t != e),
+                         (f"{len(tensors)} tensors", len(stored)))
         raise ConfigError(f"{path}: header tensors differ from the model's: {got} instead of {want}")
-    payload, needed = len(blob) - 16 - header_len, 8 * sum(math.prod(s) for _, s in expected)
+    sizes = [math.prod(shape) for _, shape in stored]
+    payload, needed = len(blob) - 16 - header_len, 8 * sum(sizes)
     if payload != needed:
         raise ConfigError(f"{path}: payload is {payload} bytes, the model needs {needed}")
-    params = init_params(config, seed=0)
-    params.flat[...] = np.frombuffer(blob, dtype="<f8", offset=16 + header_len)
-    if not np.all(np.isfinite(params.flat)):
-        name = next(n for n, a in named_arrays(params) if not np.all(np.isfinite(a)))
-        raise ConfigError(f"{path}: tensor {name} holds a non-finite value")
-    return config, vocab, params
+    values = np.split(np.frombuffer(blob, dtype="<f8", offset=16 + header_len),
+                      np.cumsum(sizes[:-1]))
+    for (name, _), v in zip(stored, values):
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"{path}: tensor {name} holds a non-finite value")
+    kept = {name for name, _ in layout}
+    flat = np.concatenate([v for (name, _), v in zip(stored, values) if name in kept])
+    return config, vocab, _on_buffer(layout, flat.astype(np.float64, copy=False))

@@ -150,8 +150,8 @@ def conv2d(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
                     need_grad_x: bool = True):
-    """Returns (grad_x, grad_weights, grad_bias) for conv2d; grad_x is None
-    when the caller says it needs none. The columns are rebuilt from x rather
+    """Returns (grad_x, grad_weights) for conv2d; grad_x is None when the
+    caller says it needs none. The columns are rebuilt from x rather
     than held from the forward through the whole network; grad_x folds the
     column gradient back with one strided add per offset."""
     c_out, c_in, kh, kw = weights.shape
@@ -159,12 +159,12 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
     g = grad_out.reshape(c_out, h * w)
     grad_w = (g @ _columns(x, kh, kw).T).reshape(weights.shape)
     if not need_grad_x:
-        return None, grad_w, grad_out.sum((1, 2))
+        return None, grad_w
     grad_cols = (weights.reshape(c_out, -1).T @ g).reshape(c_in, kh, kw, h, w)
     grad_xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
     for dy, dx in np.ndindex(kh, kw):
         grad_xp[:, dy : dy + h, dx : dx + w] += grad_cols[:, dy, dx]
-    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w, grad_out.sum((1, 2))
+    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w
 
 
 def _merge(acc: np.ndarray, part: np.ndarray) -> None:
@@ -246,14 +246,6 @@ def _gate_affine(hidden_size: int) -> np.ndarray:
 
 
 @dataclass
-class LstmState:
-    """Recurrent carry of one LSTM layer."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
-
-
-@dataclass
 class LstmParams:
     """Weights of one LSTM layer."""
 
@@ -264,10 +256,6 @@ class LstmParams:
     @property
     def hidden_size(self) -> int:
         return self.w_h.shape[1]
-
-
-def lstm_zero_state(hidden_size: int) -> LstmState:
-    return LstmState(np.zeros(hidden_size), np.zeros(hidden_size))
 
 
 def lstm_step_cached(zx, h_prev, c_prev, w_h, gates, c, tanh_c, h) -> None:
@@ -287,16 +275,18 @@ def lstm_step_cached(zx, h_prev, c_prev, w_h, gates, c, tanh_c, h) -> None:
     np.multiply(gates[3], tanh_c, out=h)
 
 
-def lstm_step(x: np.ndarray, state: LstmState, params: LstmParams):
+def lstm_step(x: np.ndarray, state: np.ndarray, params: LstmParams):
     """One step on a single input vector, the decode-time form of a scan step.
-    Returns (output, new_state); the caller's ``state`` is never mutated."""
+    ``state`` is the layer's (2, H) carry, rows h and c (zeros at the start).
+    Returns (h, new_state), both views of the step's own scratch rows; the
+    caller's ``state`` is never mutated."""
     hs = params.hidden_size
     if x.shape[-1] != params.w_x.shape[1]:
         raise UsageError(f"lstm input size {x.shape[-1]} != expected {params.w_x.shape[1]}")
-    rows = np.empty((7, hs))  # gates, then c, tanh(c) and h
-    lstm_step_cached((params.w_x @ x + params.b).reshape(4, hs), state.hidden, state.cell,
-                     params.w_h, rows[:4], rows[4], rows[5], rows[6])
-    return rows[6], LstmState(rows[6], rows[4])
+    rows = np.empty((7, hs))  # gates, then tanh(c), h and c
+    lstm_step_cached((params.w_x @ x + params.b).reshape(4, hs), state[0], state[1],
+                     params.w_h, rows[:4], rows[6], rows[4], rows[5])
+    return rows[5], rows[5:]
 
 
 def lstm_backward_factors(gates: np.ndarray, tanh_c: np.ndarray, c_prev: np.ndarray):

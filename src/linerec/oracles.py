@@ -1,19 +1,92 @@
 """Exact oracles for the transducer loss and greedy search, shared by `linerec
-verify` and the tests. Each check draws its cases from the shapes and generator
+verify` and the tests: brute-force alignment enumeration, which the loss
+module does not use, and the checks built on it. Each check draws its cases from the shapes and generator
 it is given and returns its worst error; the caller owns seed, case count, shape
 ranges and bound. ``cases`` may be a lazy iterable drawing from the same rng."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .decode import greedy_decode
-from .lattice import (BLANK, enumerate_alignments, loss_and_logit_grad, remove_blanks,
-                      rnnt_alphabeta, rnnt_grad, rnnt_loss_brute)
+from .errors import UsageError
+from .lattice import BLANK, _check_labels, loss_and_logit_grad, rnnt_alphabeta, rnnt_grad
 from .model import ModelConfig, init_params, visual_encode
-from .numerics import log_softmax
+from .numerics import log_softmax, logsumexp
+
+ENUMERATION_LIMIT = 12  # max T+U for brute-force enumeration; C(T+U-1, U) blows up
+
+
+def remove_blanks(alignment, num_classes: int | None = None) -> tuple[int, ...]:
+    """The blank-removal map: keeps non-blank ids in order."""
+    for a in alignment:
+        if a < 0 or (num_classes is not None and a > num_classes):
+            raise UsageError(f"alignment id {a} out of range")
+    return tuple(a for a in alignment if a != BLANK)
+
+
+def enumerate_alignments(num_frames: int, labels) -> list[tuple[int, ...]]:
+    """Every alignment of ``labels`` onto ``num_frames`` frames.
+
+    An alignment interleaves the U labels (in order) with T blanks and ends
+    with a blank, so it is determined by which of the first T+U-1 positions
+    carry labels: exactly C(T+U-1, U) alignments, no duplicates.
+    """
+    labels = tuple(labels)
+    t, u = num_frames, len(labels)
+    if t < 1:
+        raise UsageError("need at least one frame")
+    if t + u > ENUMERATION_LIMIT:
+        raise UsageError(
+            f"T+U = {t + u} exceeds the enumeration guard ({ENUMERATION_LIMIT})"
+        )
+    out = []
+    for label_slots in itertools.combinations(range(t + u - 1), u):
+        a = [BLANK] * (t + u)
+        for pos, lab in zip(label_slots, labels):
+            a[pos] = lab
+        out.append(tuple(a))
+    return out
+
+
+def alignment_log_prob(lattice: np.ndarray, labels, alignment) -> float:
+    """Log-probability of one path: walk from (0, 0), blanks move t, labels move u."""
+    labels = _check_labels(lattice, labels)
+    t_total = lattice.shape[0]
+    if (
+        len(alignment) != t_total + len(labels)
+        or sum(1 for a in alignment if a == BLANK) != t_total
+        or alignment[-1] != BLANK
+        or remove_blanks(alignment, lattice.shape[2] - 1) != labels
+    ):
+        raise UsageError(f"not a valid alignment for T={t_total}, y={labels}")
+    t = u = 0
+    total = 0.0
+    for a in alignment:
+        if a == BLANK:
+            total += lattice[t, u, BLANK]
+            t += 1
+        else:
+            total += lattice[t, u, a]
+            u += 1
+    return float(total)
+
+
+def rnnt_loss_brute(lattice: np.ndarray, labels) -> float:
+    """log Pr(y|x) by exhaustive enumeration; the oracle for rnnt_alphabeta."""
+    labels = tuple(labels)
+    paths = enumerate_alignments(lattice.shape[0], labels)
+    return logsumexp(np.array([alignment_log_prob(lattice, labels, a) for a in paths]))
+
+
+def random_lattice(rng: np.random.Generator, t: int, u: int, k: int) -> np.ndarray:
+    """A random normalized (T, U+1, K+1) lattice."""
+    return log_softmax(rng.normal(size=(t, u + 1, k + 1)))
+
+
 
 
 def fd_grad(f, x, h=1e-5):

@@ -19,8 +19,8 @@ from test_model import model_gradient_error
 from linerec import oracles
 from linerec.cli import default_model_config, main
 from linerec.data import SynthConfig, make_dataset, synth_charset
-from linerec.lattice import alignment_log_prob, enumerate_alignments, random_lattice, remove_blanks
 from linerec.model import ModelConfig, init_params
+from linerec.oracles import alignment_log_prob, enumerate_alignments, random_lattice, remove_blanks
 from linerec.train import TrainConfig, train_run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,6 +117,7 @@ def test_criterion_5_greedy_search_fidelity(monkeypatch):
            f"held on 30 scripted runs")
 
 
+@pytest.mark.slow
 def test_criterion_6_toy_learning(tmp_path):
     started = time.perf_counter()
     model_cfg = default_model_config()

@@ -370,6 +370,25 @@ def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command, valu
     assert "tensor conv0.w holds a non-finite value" in err
 
 
+@pytest.mark.parametrize("hidden_size", [10**7, 10**12],
+                         ids=["too_large_to_allocate", "beyond_numpy_index_range"])
+def test_train_of_a_model_too_large_to_allocate_exits_3(pipeline, tmp_path, capsys,
+                                                       hidden_size):
+    """About 1.2e15 parameters (numpy's MemoryError) and 1.2e25 (its ValueError):
+    both are refused at the one allocation of the buffer, touching no memory."""
+    cfg_path, _, _ = pipeline
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["model"]["hidden_size"] = hidden_size
+    doc["train"]["checkpoint_dir"] = str(tmp_path / "run")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(huge), "train"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1, err
+    assert re.search(r"the model has [\d,]+ parameters, too many to allocate", err), err
+
+
 def test_empty_manifest_exits_2(pipeline, tmp_path, capsys):
     cfg_path, _, run = pipeline
     empty = tmp_path / "empty.tsv"

@@ -1,7 +1,8 @@
 """Byte-mutation fuzz of the input readers: whatever bytes a checkpoint, a PGM
 image, a manifest, a charset file or a run config holds, its reader either
 returns or raises ConfigError or DataError, which the CLI turns into an exit
-code and one line. Each reader gets a fixed, derandomized set of examples."""
+code and one line. Each reader gets a fixed, derandomized set of examples;
+the checkpoint reader gets a file of each format version it reads."""
 
 import json
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_model import save_v1_checkpoint
 
 from linerec import data, model
 from linerec.cli import load_run_config
@@ -43,9 +45,10 @@ def inputs(tmp_path_factory):
     unmutated file."""
     root = tmp_path_factory.mktemp("fuzz")
     image = np.random.default_rng(0).random((4, 6))
-    ckpt, pgm = root / "tiny.ckpt", root / "line.pgm"
+    ckpt, ckpt_v1, pgm = root / "tiny.ckpt", root / "tiny_v1.ckpt", root / "line.pgm"
     cfg = tiny_model_config()
     model.save_checkpoint(ckpt, cfg, VOCAB, model.init_params(cfg, seed=0))
+    save_v1_checkpoint(ckpt_v1, cfg, VOCAB, model.init_params(cfg, seed=0))
     data.write_image(pgm, image)
     (root / "manifest").mkdir()
     manifest = root / "manifest" / "lines.tsv"
@@ -60,6 +63,7 @@ def inputs(tmp_path_factory):
                                   "paths": {"charset": "charset.txt"}}), encoding="utf-8")
     readers = {
         "checkpoint": (ckpt, model.load_checkpoint),
+        "checkpoint_v1": (ckpt_v1, model.load_checkpoint),
         "pgm": (pgm, data.read_image),
         "manifest": (manifest, lambda p: data.load_manifest(p, VOCAB)),
         "charset": (charset, data.load_charset),
@@ -70,7 +74,8 @@ def inputs(tmp_path_factory):
     return readers
 
 
-@pytest.mark.parametrize("reader", ["checkpoint", "pgm", "manifest", "charset", "config"])
+@pytest.mark.parametrize("reader", ["checkpoint", "checkpoint_v1", "pgm", "manifest", "charset",
+                                    "config"])
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(ops=MUTATIONS)
 def test_mutated_input_raises_only_config_or_data_errors(inputs, reader, ops):

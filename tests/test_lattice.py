@@ -64,26 +64,26 @@ def test_label_ids_come_back_as_python_ints():
 
 
 def test_remove_blanks_paper_example():
-    assert lt.remove_blanks((0, 0, B, 0, E, E, 0)) == (B, E, E)
+    assert oracles.remove_blanks((0, 0, B, 0, E, E, 0)) == (B, E, E)
 
 
 def test_remove_blanks_trivial_cases():
-    assert lt.remove_blanks((0, 0, 0)) == ()
-    assert lt.remove_blanks((B, E, E)) == (B, E, E)
+    assert oracles.remove_blanks((0, 0, 0)) == ()
+    assert oracles.remove_blanks((B, E, E)) == (B, E, E)
 
 
 def test_remove_blanks_range_check():
     with pytest.raises(UsageError):
-        lt.remove_blanks((0, -1))
+        oracles.remove_blanks((0, -1))
     with pytest.raises(UsageError):
-        lt.remove_blanks((0, 3), num_classes=2)
+        oracles.remove_blanks((0, 3), num_classes=2)
 
 
 # --- enumeration ------------------------------------------------------------------
 
 
 def test_enumerate_contains_paper_alignments():
-    got = lt.enumerate_alignments(4, (B, E, E))
+    got = oracles.enumerate_alignments(4, (B, E, E))
     assert len(got) == 20  # C(6, 3)
     assert len(set(got)) == 20
     for a in WORKED_ALIGNMENTS:
@@ -91,11 +91,11 @@ def test_enumerate_contains_paper_alignments():
 
 
 def test_enumerate_single_frame_empty_labels():
-    assert lt.enumerate_alignments(1, ()) == [(0,)]
+    assert oracles.enumerate_alignments(1, ()) == [(0,)]
 
 
 def test_enumerate_two_frames_one_label():
-    assert set(lt.enumerate_alignments(2, (5,))) == {(5, 0, 0), (0, 5, 0)}
+    assert set(oracles.enumerate_alignments(2, (5,))) == {(5, 0, 0), (0, 5, 0)}
 
 
 @pytest.mark.parametrize("t", range(1, 7))
@@ -106,9 +106,9 @@ def test_enumeration_count_law_and_blank_removal(t, u):
 
 def test_enumeration_guard():
     with pytest.raises(UsageError):
-        lt.enumerate_alignments(10, (1, 2, 3))
+        oracles.enumerate_alignments(10, (1, 2, 3))
     with pytest.raises(UsageError):
-        lt.enumerate_alignments(0, ())
+        oracles.enumerate_alignments(0, ())
 
 
 # --- single-path probability --------------------------------------------------------
@@ -116,7 +116,7 @@ def test_enumeration_guard():
 
 def test_alignment_log_prob_uniform_lattice():
     lat = uniform_lattice(3, 2, 4)
-    got = lt.alignment_log_prob(lat, (1, 2), (0, 1, 0, 2, 0))
+    got = oracles.alignment_log_prob(lat, (1, 2), (0, 1, 0, 2, 0))
     assert got == pytest.approx(5 * -math.log(5), abs=1e-12)
 
 
@@ -133,31 +133,31 @@ def test_alignment_log_prob_peaked_path():
         else:
             ui += 1
     lat = log_softmax(logits)
-    assert abs(lt.alignment_log_prob(lat, labels, path)) < 1e-9
+    assert abs(oracles.alignment_log_prob(lat, labels, path)) < 1e-9
 
 
 def test_alignment_log_prob_matches_hand_walk():
     rng = np.random.default_rng(41)
-    lat = lt.random_lattice(rng, 3, 2, 3)
+    lat = oracles.random_lattice(rng, 3, 2, 3)
     labels = (1, 3)
-    for align in lt.enumerate_alignments(3, labels):
+    for align in oracles.enumerate_alignments(3, labels):
         # independent oracle: accumulate along the traced nodes by hand
         t = u = 0
         expect = 0.0
         for a in align:
             expect += lat[t, u, a]
             t, u = (t + 1, u) if a == 0 else (t, u + 1)
-        assert lt.alignment_log_prob(lat, labels, align) == pytest.approx(expect, abs=1e-12)
+        assert oracles.alignment_log_prob(lat, labels, align) == pytest.approx(expect, abs=1e-12)
 
 
 def test_alignment_log_prob_rejects_invalid():
     lat = uniform_lattice(3, 2, 4)
     with pytest.raises(UsageError):
-        lt.alignment_log_prob(lat, (1, 2), (0, 2, 1, 0, 0))  # wrong label order
+        oracles.alignment_log_prob(lat, (1, 2), (0, 2, 1, 0, 0))  # wrong label order
     with pytest.raises(UsageError):
-        lt.alignment_log_prob(lat, (1, 2), (0, 1, 0, 2, 0, 0))  # wrong length
+        oracles.alignment_log_prob(lat, (1, 2), (0, 1, 0, 2, 0, 0))  # wrong length
     with pytest.raises(UsageError):
-        lt.alignment_log_prob(lat, (1, 2), (0, 1, 0, 0, 2))  # does not end in blank
+        oracles.alignment_log_prob(lat, (1, 2), (0, 1, 0, 0, 2))  # does not end in blank
 
 
 # --- brute-force loss ------------------------------------------------------------------
@@ -165,15 +165,15 @@ def test_alignment_log_prob_rejects_invalid():
 
 def test_brute_single_frame_no_labels():
     rng = np.random.default_rng(43)
-    lat = lt.random_lattice(rng, 1, 0, 3)
-    assert lt.rnnt_loss_brute(lat, ()) == pytest.approx(lat[0, 0, 0], abs=1e-12)
+    lat = oracles.random_lattice(rng, 1, 0, 3)
+    assert oracles.rnnt_loss_brute(lat, ()) == pytest.approx(lat[0, 0, 0], abs=1e-12)
 
 
 def test_brute_uniform_lattice_closed_form():
     t, u, k = 4, 3, 5
     lat = uniform_lattice(t, u, k)
     expect = math.log(math.comb(t + u - 1, u)) + (t + u) * -math.log(k + 1)
-    assert lt.rnnt_loss_brute(lat, (1, 2, 2)) == pytest.approx(expect, abs=1e-12)
+    assert oracles.rnnt_loss_brute(lat, (1, 2, 2)) == pytest.approx(expect, abs=1e-12)
 
 
 # --- forward/backward DP -----------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_brute_uniform_lattice_closed_form():
 
 def test_forward_unique_path_t1_u1():
     rng = np.random.default_rng(47)
-    lat = lt.random_lattice(rng, 1, 1, 4)
+    lat = oracles.random_lattice(rng, 1, 1, 4)
     log_prob = lt.rnnt_alphabeta(lat, (3,)).log_prob
     assert log_prob == pytest.approx(lat[0, 0, 3] + lat[0, 1, 0], abs=1e-12)
 
@@ -197,7 +197,7 @@ def test_loss_nonnegative_on_normalized_lattices():
     for _ in range(50):
         t, u = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
-        lat = lt.random_lattice(rng, t, u, 3)
+        lat = oracles.random_lattice(rng, t, u, 3)
         assert -lt.rnnt_alphabeta(lat, labels).log_prob >= 0.0
 
 
@@ -206,14 +206,14 @@ def test_backward_agrees_with_forward():
     for _ in range(25):
         t, u = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
-        lat = lt.random_lattice(rng, t, u, 3)
+        lat = oracles.random_lattice(rng, t, u, 3)
         tables = lt.rnnt_alphabeta(lat, labels)
         assert abs(tables.beta[0, 0] - tables.log_prob) < 1e-10
 
 
 def test_backward_terminal_blank():
     rng = np.random.default_rng(61)
-    lat = lt.random_lattice(rng, 1, 0, 3)
+    lat = oracles.random_lattice(rng, 1, 0, 3)
     assert lt.rnnt_alphabeta(lat, ()).beta[0, 0] == pytest.approx(lat[0, 0, 0], abs=1e-12)
 
 
@@ -250,7 +250,7 @@ def scalar_alpha_beta(lat, labels):
                                    (145, 60, 80)])
 def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
     rng = np.random.default_rng(1000 * t + u)
-    lat = lt.random_lattice(rng, t, u, k)
+    lat = oracles.random_lattice(rng, t, u, k)
     labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
     alpha, beta, log_prob = scalar_alpha_beta(lat, labels)
     tables = lt.rnnt_alphabeta(lat, labels)
@@ -265,7 +265,7 @@ def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
 def test_grad_zero_for_unused_classes():
     rng = np.random.default_rng(67)
     labels = (2, 1)
-    lat = lt.random_lattice(rng, 3, 2, 4)
+    lat = oracles.random_lattice(rng, 3, 2, 4)
     grad = lt.dense_grad(*lt.rnnt_grad(lt.rnnt_alphabeta(lat, labels)), labels, 5)
     for u in range(3):
         used = {0, labels[u]} if u < 2 else {0}

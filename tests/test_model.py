@@ -14,9 +14,8 @@ import pytest
 from linerec import model as md
 from linerec.cli import default_model_config, load_run_config
 from linerec.errors import ConfigError, UsageError
-from linerec.lattice import (BLANK, NEG_INF, Vocab, dense_grad, rnnt_alphabeta, rnnt_grad,
-                             rnnt_loss_brute)
-from linerec.oracles import fd_grad, rel_err, tiny_model_config
+from linerec.lattice import BLANK, NEG_INF, Vocab, dense_grad, rnnt_alphabeta, rnnt_grad
+from linerec.oracles import fd_grad, rel_err, rnnt_loss_brute, tiny_model_config
 
 
 def full_config(**overrides):
@@ -113,6 +112,61 @@ def test_tensor_shapes_are_those_of_the_initialized_model(cfg):
     assert md.tensor_shapes(cfg) == [(n, a.shape) for n, a in md.named_arrays(params)]
 
 
+def reference_init(cfg, seed):
+    """{name: tensor} as init_params built them while the layout held a conv
+    bias per block: the tree built tensor by tensor, drawing in tree order."""
+    rng = np.random.default_rng(seed)
+    hs, enc, classes = cfg.hidden_size, cfg.encoded_size, cfg.vocab_size + 1
+
+    def glorot(shape):
+        if len(shape) == 4:
+            fan_in, fan_out = shape[1] * shape[2] * shape[3], shape[0] * shape[2] * shape[3]
+        else:
+            fan_out, fan_in = shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape)
+
+    def lstm(prefix, n):
+        w_x, w_h, b = glorot((4 * hs, n)), glorot((4 * hs, hs)), np.zeros(4 * hs)
+        b[hs : 2 * hs] = 1.0
+        return {f"{prefix}.w_x": w_x, f"{prefix}.w_h": w_h, f"{prefix}.b": b}
+
+    ref, n_in = {}, 1
+    for i, (channels, kernel, _) in enumerate(cfg.conv_blocks):
+        ref[f"conv{i}.w"] = glorot((channels, n_in, kernel, kernel))
+        ref[f"conv{i}.b"] = np.zeros(channels)
+        ref[f"conv{i}.gain"], ref[f"conv{i}.shift"] = np.ones(channels), np.zeros(channels)
+        n_in = channels
+    for i in range(cfg.recurrent_layers_visual):
+        ref.update(lstm(f"vis{i}.fwd", n_in))
+        ref.update(lstm(f"vis{i}.bwd", n_in))
+        n_in = 2 * hs
+    ref["vis_proj.w"], ref["vis_proj.b"] = glorot((enc, 2 * hs)), np.zeros(enc)
+    ref["embed"] = rng.uniform(-0.1, 0.1, size=(classes, cfg.embed_size))
+    n_in = cfg.embed_size
+    for i in range(cfg.recurrent_layers_linguistic):
+        ref.update(lstm(f"lm{i}", n_in))
+        n_in = hs
+    ref["lm_proj.w"], ref["lm_proj.b"] = glorot((enc, hs)), np.zeros(enc)
+    ref["joint.b"], ref["joint.w"] = np.zeros(enc), glorot((classes, enc))
+    return ref
+
+
+@pytest.mark.parametrize("cfg", [tiny_model_config(), default_model_config(),
+                                 full_config(recurrent_layers_linguistic=2)],
+                         ids=["tiny", "s1", "two_layers"])
+def test_init_is_bitwise_the_reference_construction_without_the_conv_biases(cfg):
+    biases = {f"conv{i}.b" for i in range(len(cfg.conv_blocks))}
+    for seed in (0, 1, 7):
+        ref = reference_init(cfg, seed)
+        got = dict(md.named_arrays(md.init_params(cfg, seed)))
+        for name, a in got.items():
+            assert a.shape == ref[name].shape and np.array_equal(a, ref[name]), name
+        assert set(ref) - set(got) == biases
+        # version-1 checkpoints list the reference's tensors in its order
+        assert [n for n, _ in md._v1_tensors(md.tensor_shapes(cfg))] == list(ref)
+
+
 def test_shells_and_clones_own_independent_buffers():
     params = md.init_params(tiny_model_config(), seed=11)
     before = params.flat.copy()
@@ -136,7 +190,7 @@ def test_init_respects_documented_ranges():
     # first conv block: fan_in = 1*3*3, fan_out = 2*3*3
     limit = np.sqrt(6.0 / (9 + 18))
     assert np.all(np.abs(params.conv[0].w) <= limit)
-    assert np.all(params.conv[0].b == 0.0)
+    assert np.all(params.conv[0].gain == 1.0) and np.all(params.conv[0].shift == 0.0)
     for bi in params.vis_rnn:
         for p in (bi.fwd, bi.bwd):
             assert np.all(p.b[hs : 2 * hs] == 1.0)
@@ -240,8 +294,8 @@ def test_linguistic_step_does_not_mutate_states():
     row1, next_states = md.linguistic_step(2, states, params, cfg)
     row2, _ = md.linguistic_step(2, states, params, cfg)
     assert np.array_equal(row1, row2)
-    assert np.all(states[0].hidden == 0.0)
-    assert not np.array_equal(next_states[0].hidden, states[0].hidden)
+    assert states.shape == (1, 2, cfg.hidden_size) and np.all(states == 0.0)
+    assert not np.array_equal(next_states[0][0], states[0][0])
 
 
 # --- joint --------------------------------------------------------------------
@@ -431,8 +485,7 @@ def test_blocked_joint_matches_the_unblocked_reference(monkeypatch, case):
     grads = md.backward_pass((grad_blank, grad_label), cache, params, cfg)
     ref = unblocked_backward(dense, cache, params, cfg)
     assert np.array_equal(cache.tanh_joint, ref_v)  # the backward leaves the cache alone
-    # per tensor, against the largest gradient: the conv biases feed a channel
-    # norm, so their exact gradient is zero and both hold only round-off
+    # per tensor, against the largest gradient
     scale = np.max(np.abs(ref.flat))
     for (name, got), (_, want) in zip(md.named_arrays(grads), md.named_arrays(ref)):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
@@ -562,11 +615,69 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     assert np.array_equal(params2.flat, params.flat)
 
 
+def save_v1_checkpoint(path, config, vocab, params, bias=1e-10):
+    """``params`` as a version-1 file: every conv block's bias, here all
+    ``bias``, stored right after its weights."""
+    stored = md._v1_tensors(md.tensor_shapes(config))
+    named = dict(md.named_arrays(params))
+    payload = np.concatenate([named[n].ravel() if n in named else np.full(s, bias)
+                              for n, s in stored])
+    header = json.dumps({"config": config.to_dict(), "charset": list(vocab.symbols),
+                         "tensors": [{"name": n, "shape": list(s)} for n, s in stored]}).encode()
+    path.write_bytes(md.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header
+                     + payload.astype("<f8").tobytes())
+
+
+def _payload_tensors(blob: bytes) -> dict:
+    """{name: tensor} as a checkpoint file stores them."""
+    (size,) = struct.unpack("<I", blob[12:16])
+    values = np.frombuffer(blob, dtype="<f8", offset=16 + size)
+    out, offset = {}, 0
+    for entry in json.loads(blob[16 : 16 + size])["tensors"]:
+        n = math.prod(entry["shape"])
+        out[entry["name"]] = values[offset : offset + n].reshape(entry["shape"])
+        offset += n
+    return out
+
+
 def test_committed_checkpoint_reloads_to_the_same_bytes(tmp_path):
+    """The committed checkpoint is version 1. It loads; saved as version 2,
+    every tensor equals the version-1 tensor of its name bitwise, only the conv
+    biases are gone; and a version-2 file loads and saves to the same bytes."""
     committed = Path(__file__).resolve().parent.parent / "bench" / "reference" / "decode_s1.ckpt"
+    blob = committed.read_bytes()
+    assert struct.unpack("<I", blob[8:12]) == (1,)
+    v1 = _payload_tensors(blob)
+    v2 = tmp_path / "v2.ckpt"
+    md.save_checkpoint(v2, *md.load_checkpoint(committed))
+    assert struct.unpack("<I", v2.read_bytes()[8:12]) == (md.CHECKPOINT_VERSION,) == (2,)
+    saved = _payload_tensors(v2.read_bytes())
+    for name, a in saved.items():
+        assert np.array_equal(a, v1[name]), name
+    assert set(v1) - set(saved) == {"conv0.b", "conv1.b", "conv2.b"}
     copy = tmp_path / "again.ckpt"
-    md.save_checkpoint(copy, *md.load_checkpoint(committed))
-    assert copy.read_bytes() == committed.read_bytes()
+    md.save_checkpoint(copy, *md.load_checkpoint(v2))
+    assert copy.read_bytes() == v2.read_bytes()
+
+
+def test_version_1_checkpoint_loads_without_its_conv_biases(tmp_path):
+    cfg, vocab = tiny_model_config(recurrent_layers_visual=2), Vocab(("a", "b", "c"))
+    params = md.init_params(cfg, seed=21)
+    path = tmp_path / "v1.ckpt"
+    save_v1_checkpoint(path, cfg, vocab, params)
+    cfg2, vocab2, params2 = md.load_checkpoint(path)
+    assert (cfg2, vocab2) == (cfg, vocab)
+    assert np.array_equal(params2.flat, params.flat)
+    assert [n for n, _ in md.named_arrays(params2)] == [n for n, _ in md.tensor_shapes(cfg)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_version_1_checkpoint_rejects_a_non_finite_conv_bias(tmp_path, value):
+    cfg = tiny_model_config()
+    path = tmp_path / "v1.ckpt"
+    save_v1_checkpoint(path, cfg, Vocab(("a", "b", "c")), md.init_params(cfg, seed=1), bias=value)
+    with pytest.raises(ConfigError, match="tensor conv0.b holds a non-finite value"):
+        md.load_checkpoint(path)
 
 
 class _FailingPayload:
@@ -635,23 +746,45 @@ def _with_header(blob: bytes, edit) -> bytes:
     return blob[:12] + struct.pack("<I", len(raw)) + raw + blob[16 + size :]
 
 
-def _claim_hidden_1000(header):
+def _claim_hidden_1000(header, version):
     header["config"]["hidden_size"] = 1000
-    config = md.ModelConfig.from_dict(header["config"])
-    header["tensors"] = [{"name": n, "shape": list(s)} for n, s in md.tensor_shapes(config)]
+    layout = md.tensor_shapes(md.ModelConfig.from_dict(header["config"]))
+    stored = layout if version == 2 else md._v1_tensors(layout)
+    header["tensors"] = [{"name": n, "shape": list(s)} for n, s in stored]
 
 
-@pytest.mark.parametrize("edit,refusal", [
-    (lambda h: h["config"].update(hidden_size=1000), "header tensors differ"),
-    (_claim_hidden_1000, "payload is"),
-], ids=["config_only", "config_and_tensor_list"])
-def test_checkpoint_checks_the_header_before_it_allocates(tmp_path, edit, refusal):
+def _drop_conv1_bias(header, version):
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != "conv1.b"]
+
+
+def _list_conv1_bias(header, version):
+    at = [e["name"] for e in header["tensors"]].index("conv1.w") + 1
+    header["tensors"].insert(at, {"name": "conv1.b", "shape": [2]})
+
+
+HEADER_CASES = {  # id: (version, header edit, refusal)
+    "config_only": (2, lambda h, v: h["config"].update(hidden_size=1000), "header tensors differ"),
+    "config_and_tensor_list": (2, _claim_hidden_1000, "payload is"),
+    "v1_config_only": (1, lambda h, v: h["config"].update(hidden_size=1000),
+                       "header tensors differ"),
+    "v1_config_and_tensor_list": (1, _claim_hidden_1000, "payload is"),
+    "v1_missing_a_conv_bias": (1, _drop_conv1_bias, "header tensors differ"),
+    "v2_listing_a_conv_bias": (2, _list_conv1_bias, "header tensors differ"),
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_CASES))
+def test_checkpoint_checks_the_header_before_it_allocates(tmp_path, case):
     """A small file whose header describes a far larger model is refused before
-    that model is built: at hidden_size 1000 it would take about 180 MiB."""
+    that model is built: at hidden_size 1000 it would take about 180 MiB. The
+    tensor list must be the one of the file's version."""
+    version, edit, refusal = HEADER_CASES[case]
     path = tmp_path / "model.ckpt"
-    md.save_checkpoint(path, tiny_model_config(), Vocab(("a", "b", "c")),
-                       md.init_params(tiny_model_config(), seed=1))
-    path.write_bytes(_with_header(path.read_bytes(), edit))
+    save = md.save_checkpoint if version == 2 else save_v1_checkpoint
+    save(path, tiny_model_config(), Vocab(("a", "b", "c")),
+         md.init_params(tiny_model_config(), seed=1))
+    md.load_checkpoint(path)
+    path.write_bytes(_with_header(path.read_bytes(), lambda h: edit(h, version)))
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=refusal):

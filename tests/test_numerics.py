@@ -191,14 +191,13 @@ def test_conv2d_gradients_match_fd():
     b = rng.normal(size=3)
     r = rng.normal(size=(3, 5, 6))
 
-    gx, gw, gb = nm.conv2d_backward(r, x, w)
+    gx, gw = nm.conv2d_backward(r, x, w)
 
     def conv(x, w, b):
         return nm.conv2d(x, w) + b[:, None, None]
 
     assert rel_err(gx, fd_grad(lambda v: float(np.sum(r * conv(v, w, b))), x)) < 1e-7
     assert rel_err(gw, fd_grad(lambda v: float(np.sum(r * conv(x, v, b))), w)) < 1e-7
-    assert rel_err(gb, fd_grad(lambda v: float(np.sum(r * conv(x, w, v))), b)) < 1e-7
 
 
 def test_conv2d_rejects_even_kernel():
@@ -266,8 +265,7 @@ def _conv2d_backward_reference(grad_out, x, weights):
             grad_xp[:, dy : dy + h, dx : dx + w] += np.tensordot(
                 weights[:, :, dy, dx], grad_out, axes=(0, 0)
             )
-    grad_b = grad_out.sum(axis=(1, 2))
-    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w, grad_b
+    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w
 
 
 def _maxpool2d_reference(x, pool):
@@ -330,7 +328,8 @@ def test_im2col_conv_matches_shifted_tensordot(c_in, h, w, k):
     assert rel_err(conv, _conv2d_reference(x, weights, bias)) <= 1e-12
     fast = nm.conv2d_backward(grad_out, x, weights)
     reference = _conv2d_backward_reference(grad_out, x, weights)
-    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), fast, reference):
+    assert len(fast) == len(reference) == 2
+    for name, a, b in zip(("grad_x", "grad_w"), fast, reference):
         assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
 
 
@@ -339,9 +338,9 @@ def test_conv2d_backward_without_input_gradient_keeps_the_weight_gradients():
     x, weights = rng.normal(size=(1, 6, 11)), rng.normal(size=(4, 1, 3, 3))
     grad_out = rng.normal(size=(4, 6, 11))
     full = nm.conv2d_backward(grad_out, x, weights)
-    grad_x, grad_w, grad_b = nm.conv2d_backward(grad_out, x, weights, need_grad_x=False)
+    grad_x, grad_w = nm.conv2d_backward(grad_out, x, weights, need_grad_x=False)
     assert grad_x is None
-    assert np.array_equal(grad_w, full[1]) and np.array_equal(grad_b, full[2])
+    assert np.array_equal(grad_w, full[1])
 
 
 POOL_CASES = [((8, 12), (2, 2)), ((7, 9), (2, 2)), ((16, 6), (8, 2)), ((11, 5), (8, 2)),
@@ -412,13 +411,14 @@ def test_channel_norm_rejects_a_map_it_cannot_centre_in_place():
 # --- one conv block against the reference kernels ---------------------------------
 #
 # The reference block runs the kernels the block replaced, in their order: the
-# conv with its bias, the norm's full-size affine, the pool of the normalized
-# map and the relu.
+# conv with a bias, the norm's full-size affine, the pool of the normalized map
+# and the relu. The model's block has no conv bias, since the norm cancels one;
+# the reference adds a random one, which the comparison shows has no effect.
 
 
-def _conv_block_reference(x, p, pool, grad_out):
-    """(output, xhat, inv_std, argmax, gradients at x, w, b, gain and shift)."""
-    z = _conv2d_reference(x, p.w, p.b)
+def _conv_block_reference(x, p, bias, pool, grad_out):
+    """(output, xhat, inv_std, argmax, gradients at x, w, gain and shift)."""
+    z = _conv2d_reference(x, p.w, bias)
     normalized, xhat, inv_std = _channel_norm_reference(z, p.gain, p.shift)
     pooled, argmax = _maxpool2d_reference(normalized, pool)
     d_norm = _maxpool2d_backward_reference(grad_out * (pooled > 0.0), argmax, z.shape, pool)
@@ -429,29 +429,26 @@ def _conv_block_reference(x, p, pool, grad_out):
 
 def _conv_block(x, p, pool, grad_out):
     """The model's block, forward with its cache and backward: (output, cache,
-    gradients at x, w, b, gain and shift)."""
+    gradients at x, w, gain and shift)."""
     caches = []
     out = md._conv_block(x, p, pool, caches)
-    grads = md.ConvBlockParams(*(np.zeros_like(a) for a in (p.w, p.b, p.gain, p.shift)))
+    grads = md.ConvBlockParams(*(np.zeros_like(a) for a in (p.w, p.gain, p.shift)))
     grad_x = md._conv_block_backward(grad_out, caches[0], p, pool, grads, need_grad_x=True)
-    return out, caches[0], (grad_x, grads.w, grads.b, grads.gain, grads.shift)
+    return out, caches[0], (grad_x, grads.w, grads.gain, grads.shift)
 
 
 def _block_params(rng, c_in, k, draw):
+    """(block parameters, a conv bias for the reference block)."""
     gain = draw((4,)) + 0.5 * rng.choice([-1.0, 1.0], size=4)
     gain[:2] = -abs(gain[0]), abs(gain[1])  # one channel of each sign at least
-    return md.ConvBlockParams(draw((4, c_in, k, k)), draw((4,)), gain, rng.normal(size=4))
+    w, bias = draw((4, c_in, k, k)), draw((4,))
+    return md.ConvBlockParams(w, gain, rng.normal(size=4)), bias
 
 
 def _assert_gradients_match(fast, reference):
-    names = ("grad_x", "grad_w", "grad_b", "grad_gain", "grad_shift")
-    for name, a, b in zip(names, fast, reference):
-        if name == "grad_b":
-            # zero in exact arithmetic (the norm cancels the bias): both are
-            # rounding noise, far below the weight gradient
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(fast[1])), name
-        else:
-            assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
+    assert len(fast) == len(reference) == 4
+    for name, a, b in zip(("grad_x", "grad_w", "grad_gain", "grad_shift"), fast, reference):
+        assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
 
 
 BLOCK_CASES = [  # (c_in, h, w, k, pool): k 1, 3 and 5, width 1, odd widths, pools
@@ -469,12 +466,12 @@ BLOCK_CASES = [  # (c_in, h, w, k, pool): k 1, 3 and 5, width 1, odd widths, poo
 def test_conv_block_matches_the_reference_kernels(c_in, h, w, k, pool):
     rng = np.random.default_rng(59 + 3 * k + h + w)
     for _ in range(3):
-        p = _block_params(rng, c_in, k, lambda shape: rng.normal(size=shape))
+        p, bias = _block_params(rng, c_in, k, lambda shape: rng.normal(size=shape))
         x = rng.normal(size=(c_in, h, w))
         grad_out = rng.normal(size=(4, -(-h // pool[0]), -(-w // pool[1])))
         out, cache, grads = _conv_block(x, p, pool, grad_out)
         ref_out, ref_xhat, ref_inv_std, ref_argmax, ref_grads = _conv_block_reference(
-            x, p, pool, grad_out)
+            x, p, bias, pool, grad_out)
         assert rel_err(out, ref_out) <= 1e-12
         assert rel_err(cache.xhat, ref_xhat) <= 1e-12
         assert rel_err(cache.inv_std, ref_inv_std) <= 1e-12
@@ -488,11 +485,11 @@ def test_conv_block_argmax_equals_the_reference_on_tie_heavy_maps(c_in, h, w, k,
     # integer images and weights: conv outputs are exact, equal patches tie exactly
     rng = np.random.default_rng(61 + 3 * k + h + w)
     for _ in range(10):
-        p = _block_params(rng, c_in, k, lambda shape: _tie_heavy(rng, shape))
+        p, bias = _block_params(rng, c_in, k, lambda shape: _tie_heavy(rng, shape))
         x = _tie_heavy(rng, (c_in, h, w))
         grad_out = _tie_heavy(rng, (4, -(-h // pool[0]), -(-w // pool[1])))
         out, cache, grads = _conv_block(x, p, pool, grad_out)
-        ref_out, _, _, ref_argmax, ref_grads = _conv_block_reference(x, p, pool, grad_out)
+        ref_out, _, _, ref_argmax, ref_grads = _conv_block_reference(x, p, bias, pool, grad_out)
         assert np.array_equal(cache.argmax, ref_argmax)
         assert rel_err(out, ref_out) <= 1e-12
         _assert_gradients_match(grads, ref_grads)
@@ -504,22 +501,22 @@ def test_a_zero_gain_channel_pools_its_centred_map():
     # centred map's first maximum and the gain gradient the derivative from above
     rng = np.random.default_rng(67)
     x = rng.normal(size=(2, 8, 9))
-    p = md.ConvBlockParams(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3),
-                           np.array([1.2, 0.0, -0.8]), np.array([0.3, 0.5, -0.2]))
+    w, bias = rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+    p = md.ConvBlockParams(w, np.array([1.2, 0.0, -0.8]), np.array([0.3, 0.5, -0.2]))
     pool = (2, 2)
     grad_out = rng.normal(size=(3, 4, 5))
     out, cache, grads = _conv_block(x, p, pool, grad_out)
-    _, ref_xhat, _, _, _ = _conv_block_reference(x, p, pool, grad_out)
+    _, ref_xhat, _, _, _ = _conv_block_reference(x, p, bias, pool, grad_out)
     assert np.array_equal(cache.argmax[1:2], _maxpool2d_reference(ref_xhat[1:2], pool)[1])
     assert np.all(out[1] == p.shift[1])
 
     def loss(g):
-        q = md.ConvBlockParams(p.w, p.b, np.array([1.2, g, -0.8]), p.shift)
+        q = md.ConvBlockParams(p.w, np.array([1.2, g, -0.8]), p.shift)
         return float(np.sum(grad_out * md._conv_block(x, q, pool, None)))
 
     h = 1e-6
     from_above, from_below = (loss(h) - loss(0.0)) / h, (loss(0.0) - loss(-h)) / h
-    assert abs(grads[3][1] - from_above) <= 1e-6 * abs(from_above)
+    assert abs(grads[2][1] - from_above) <= 1e-6 * abs(from_above)
     assert abs(from_above - from_below) > 0.1 * abs(from_above)
 
 
@@ -536,15 +533,15 @@ def _rand_lstm(rng, n_in, n_hidden):
 
 def test_lstm_all_zero_weights_gives_zero_output():
     p = nm.LstmParams(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-    h, state = nm.lstm_step(np.zeros(3), nm.lstm_zero_state(2), p)
+    h, state = nm.lstm_step(np.zeros(3), np.zeros((2, 2)), p)
     assert np.array_equal(h, np.zeros(2))
-    assert np.array_equal(state.cell, np.zeros(2))
+    assert np.array_equal(state, np.zeros((2, 2)))
 
 
 def test_lstm_output_strictly_inside_unit_box():
     rng = np.random.default_rng(29)
     p = _rand_lstm(rng, 3, 4)
-    state = nm.lstm_zero_state(4)
+    state = np.zeros((2, 4))
     for _ in range(20):
         h, state = nm.lstm_step(rng.normal(size=3) * 5, state, p)
         assert np.all(np.abs(h) < 1.0)
@@ -553,11 +550,12 @@ def test_lstm_output_strictly_inside_unit_box():
 def test_lstm_step_does_not_mutate_input_state():
     rng = np.random.default_rng(31)
     p = _rand_lstm(rng, 3, 4)
-    state = nm.LstmState(rng.normal(size=4) * 0.1, rng.normal(size=4) * 0.1)
-    snapshot = (state.hidden.copy(), state.cell.copy())
-    nm.lstm_step(rng.normal(size=3), state, p)
-    assert np.array_equal(state.hidden, snapshot[0])
-    assert np.array_equal(state.cell, snapshot[1])
+    state = rng.normal(size=(2, 4)) * 0.1  # rows h and c
+    snapshot = state.copy()
+    h, new_state = nm.lstm_step(rng.normal(size=3), state, p)
+    assert np.array_equal(state, snapshot)
+    assert new_state.shape == (2, 4) and np.shares_memory(h, new_state)  # no copy
+    assert np.array_equal(h, new_state[0])
 
 
 def _zero_lstm_like(p):
@@ -584,7 +582,7 @@ def test_lstm_bptt_matches_fd():
     readout = rng.normal(size=(steps, hs))
 
     def loss_from(params_):
-        state = nm.lstm_zero_state(hs)
+        state = np.zeros((2, hs))
         total = 0.0
         for t in range(steps):
             h, state = nm.lstm_step(xs[t], state, params_)
@@ -707,5 +705,5 @@ def test_one_tanh_cell_at_extreme_preactivations():
     assert np.array_equal(run.gates[:, 2], np.tanh(zg[:, 2]))
     assert np.all(np.abs(run.outs) <= 1.0)
     for x in seq:  # the decode-time step uses the same cell
-        h, state = nm.lstm_step(x, nm.lstm_zero_state(hs), params)
-        assert np.all(np.abs(h) <= 1.0) and np.all(np.abs(state.cell) <= 1.0)
+        h, state = nm.lstm_step(x, np.zeros((2, hs)), params)
+        assert np.all(np.abs(h) <= 1.0) and np.all(np.abs(state[1]) <= 1.0)
