@@ -37,6 +37,7 @@ from .numerics import (
     log_softmax,
     log_softmax_backward,
     lstm_backward_factors,
+    lstm_scan_work,
     lstm_step,
     lstm_step_backward,
     lstm_step_cached,
@@ -287,59 +288,83 @@ class ConvBlockCache:
 
 @dataclass
 class LstmRunCache:
-    """One scan as whole-sequence arrays, rows indexed by sequence position in
-    either direction; h_prev and c_prev are outs and cells shifted by a step."""
+    """One scan (see _run_lstm) as step-major arrays: row s belongs to step s,
+    which advances direction 0 at sequence position s and direction 1 at
+    T-1-s. h and c lead with the zero state before the first step."""
 
-    inputs: np.ndarray  # (T, input)
-    gates: np.ndarray  # (T, 4, H): i, f, g, o after their nonlinearities
-    outs: np.ndarray  # (T, H)
-    cells: np.ndarray  # (T, H)
-    tanh_c: np.ndarray  # (T, H)
-    h_prev: np.ndarray  # (T, H)
-    c_prev: np.ndarray  # (T, H)
-    reverse: bool
+    inputs: np.ndarray  # (T, input), in sequence order
+    out: np.ndarray  # (T, D*H): each direction's outputs in sequence order
+    gates: np.ndarray  # (T, 4, D, H): i, f, g, o after their nonlinearities
+    h: np.ndarray  # (T+1, D, H)
+    c: np.ndarray  # (T+1, D, H)
+    tanh_c: np.ndarray  # (T, D, H)
 
 
 @dataclass
 class VisualCache:
     blocks: list  # [ConvBlockCache]
-    runs: list  # [(LstmRunCache fwd, LstmRunCache bwd)]
-    rnn_out: np.ndarray  # (T, 2H)
+    runs: list  # [LstmRunCache], one per BiLSTM layer
 
 
-def _run_lstm(seq: np.ndarray, p: LstmParams, reverse: bool):
-    """One scan over the rows of ``seq``; returns (outputs (T, H), cache). The
-    input projection is one GEMM (Appleyard, Kočiský & Blunsom 2016); each
-    step adds w_h @ h to its row and writes into the cache's arrays."""
-    n, hs = len(seq), p.hidden_size
-    zx = (seq @ p.w_x.T + p.b).reshape(n, 4, hs)
-    h, c = np.zeros((2, n + 1, hs))  # the zero row is the state before the first step
-    now, prev = (slice(n), slice(1, None)) if reverse else (slice(1, None), slice(n))
-    run = LstmRunCache(seq, np.empty((n, 4, hs)), h[now], c[now], np.empty((n, hs)),
-                       h[prev], c[prev], reverse)
-    for t in range(n - 1, -1, -1) if reverse else range(n):
-        lstm_step_cached(zx[t], run.h_prev[t], run.c_prev[t], p.w_h, run.gates[t],
-                         run.cells[t], run.tanh_c[t], run.outs[t])
-    return run.outs, run
+def _in_sequence_order(steps: np.ndarray, d: int) -> np.ndarray:
+    """Direction d's part of a step-major array whose second-to-last axis is
+    the direction, rows in sequence order: a view."""
+    return steps[..., d, :] if d == 0 else steps[::-1, ..., d, :]
 
 
-def _run_lstm_backward(grad_out: np.ndarray, run: LstmRunCache, p: LstmParams,
-                       grads: LstmParams) -> np.ndarray:
-    """BPTT over one scan; returns the gradient wrt the input sequence.
+def _run_lstm(seq: np.ndarray, layers, keep_cache: bool = True):
+    """One scan over the rows of ``seq`` with an LSTM per direction: layers[0]
+    reads them forward and layers[1], if given, backward. Returns (outputs
+    (T, D*H), LstmRunCache or None). The input projections are one GEMM per
+    direction (Appleyard, Kočiský & Blunsom 2016); each step adds w_h @ h for
+    every direction and runs their elementwise work together. Without
+    keep_cache, the gates and cells go to one reused scratch row."""
+    n, hs, d = len(seq), layers[0].hidden_size, len(layers)
+    work = lstm_scan_work(layers)
+    zx = np.empty((n, 4, d, hs))
+    for k, p in enumerate(layers):
+        _in_sequence_order(zx, k)[...] = (seq @ p.w_x.T + p.b).reshape(n, 4, hs)
+    zx *= work.scale
+    h = np.zeros((n + 1, d, hs))  # row 0 is the state before the first step
+    if keep_cache:
+        gates, c, tanh_c = np.empty((n, 4, d, hs)), np.zeros((n + 1, d, hs)), np.empty((n, d, hs))
+        for z, h_prev, c_prev, g, c_next, t, h_next in zip(zx, h, c, gates, c[1:], tanh_c, h[1:]):
+            lstm_step_cached(z, h_prev, c_prev, work, g, c_next, t, h_next)
+    else:
+        g, c_row, t = np.empty((4, d, hs)), np.zeros((d, hs)), np.empty((d, hs))
+        for z, h_prev, h_next in zip(zx, h, h[1:]):
+            lstm_step_cached(z, h_prev, c_row, work, g, c_row, t, h_next)
+    out = np.concatenate([_in_sequence_order(h[1:], k) for k in range(d)], axis=1)
+    return out, LstmRunCache(seq, out, gates, h, c, tanh_c) if keep_cache else None
+
+
+def _run_lstm_backward(grad_out: np.ndarray, run: LstmRunCache, layers, grads) -> np.ndarray:
+    """BPTT over one scan, its steps in reverse; adds each direction's
+    parameter gradients to the LstmParams in ``grads`` and returns the
+    gradient wrt the input sequence.
 
     The steps' derivative factors are formed once as arrays; each step then
-    yields its pre-activation gradient dz, and the weight and input gradients
-    are one GEMM each over the (T, 4H) rows of dz."""
-    n, hs = run.outs.shape
-    factors = lstm_backward_factors(run.gates, run.tanh_c, run.c_prev)
-    dz, dh, dc, w_h_t = np.empty((n, 4, hs)), np.zeros(hs), np.zeros(hs), p.w_h.T
-    for t in range(n) if run.reverse else range(n - 1, -1, -1):
-        dh, dc = lstm_step_backward(grad_out[t] + dh, dc, factors[t], w_h_t, dz[t])
-    dz = dz.reshape(n, 4 * hs)
-    grads.w_x += dz.T @ run.inputs
-    grads.w_h += dz.T @ run.h_prev
-    grads.b += dz.sum(axis=0)
-    return dz @ p.w_x
+    yields its pre-activation gradients dz. The weight and input gradients
+    are one GEMM each over a direction's (T, 4H) rows of dz in sequence
+    order, as a scan of that direction alone would form them."""
+    n, d, hs = run.tanh_c.shape
+    grad_h = np.stack([_in_sequence_order(grad_out.reshape(n, d, hs), k) for k in range(d)], 1)
+    factors = lstm_backward_factors(run.gates, run.tanh_c, run.c[:-1])
+    dz = np.empty((n, d, 4 * hs))
+    dz_gates = dz.reshape(n, d, 4, hs).swapaxes(1, 2)
+    dh, dc, dc_step = np.zeros((3, d, hs))
+    w_h_t = [p.w_h.T for p in layers]
+    for s in range(n - 1, -1, -1):
+        lstm_step_backward(grad_h[s], dh, dc, dc_step, factors[s], w_h_t, dz[s], dz_gates[s])
+    grad_seq = None
+    for k, (p, g) in enumerate(zip(layers, grads)):
+        dz_k = np.ascontiguousarray(_in_sequence_order(dz, k))
+        g.w_x += dz_k.T @ run.inputs
+        g.w_h += dz_k.T @ np.ascontiguousarray(_in_sequence_order(run.h[:-1], k))
+        g.b += dz_k.sum(axis=0)
+        part = dz_k @ p.w_x
+        grad_seq = part if grad_seq is None else grad_seq + part
+    return grad_seq
 
 
 def _conv_block(x: np.ndarray, p: ConvBlockParams, pool, blocks: list | None) -> np.ndarray:
@@ -368,6 +393,7 @@ def _conv_block_backward(grad_out: np.ndarray, cache: ConvBlockCache, p: ConvBlo
     at its input, or None without need_grad_x."""
     d_pool = grad_out * (cache.pooled > 0.0)
     d_norm = maxpool2d_backward(d_pool, cache.argmax, cache.xhat.shape, pool)
+    # d_norm is this call's own, for channel_norm_backward consumes it
     d_conv, d_gain, d_shift = channel_norm_backward(d_norm, cache.xhat, cache.inv_std, p.gain)
     grad_x, d_w = conv2d_backward(d_conv, cache.x_in, p.w, need_grad_x=need_grad_x)
     grads.w += d_w
@@ -398,12 +424,10 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
     seq = _conv_stack(image, params, config, blocks)
     runs = []
     for bi in params.vis_rnn:
-        out_f, run_f = _run_lstm(seq, bi.fwd, reverse=False)
-        out_b, run_b = _run_lstm(seq, bi.bwd, reverse=True)
-        runs.append((run_f, run_b))
-        seq = np.concatenate([out_f, out_b], axis=1)
+        seq, run = _run_lstm(seq, (bi.fwd, bi.bwd), keep_caches)
+        runs.append(run)
     feats = affine_forward(seq, params.vis_proj.w, params.vis_proj.b)
-    return feats, VisualCache(blocks, runs, seq) if keep_caches else None
+    return feats, VisualCache(blocks, runs) if keep_caches else None
 
 
 def visual_encode(image, params, config) -> np.ndarray:
@@ -413,16 +437,11 @@ def visual_encode(image, params, config) -> np.ndarray:
 
 def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
                      params: ModelParams, config: ModelConfig, grads: ModelParams):
-    hs = config.hidden_size
-    grad_seq, gw, gb = affine_backward(grad_feats, cache.rnn_out, params.vis_proj.w)
+    grad_seq, gw, gb = affine_backward(grad_feats, cache.runs[-1].out, params.vis_proj.w)
     grads.vis_proj.w += gw
     grads.vis_proj.b += gb
-    for i in reversed(range(len(params.vis_rnn))):
-        run_f, run_b = cache.runs[i]
-        bi = params.vis_rnn[i]
-        d_in = _run_lstm_backward(grad_seq[:, :hs], run_f, bi.fwd, grads.vis_rnn[i].fwd)
-        d_in += _run_lstm_backward(grad_seq[:, hs:], run_b, bi.bwd, grads.vis_rnn[i].bwd)
-        grad_seq = d_in
+    for run, bi, g in reversed(list(zip(cache.runs, params.vis_rnn, grads.vis_rnn))):
+        grad_seq = _run_lstm_backward(grad_seq, run, (bi.fwd, bi.bwd), (g.fwd, g.bwd))
     # sequence -> (C, 1, T) map
     grad_map = grad_seq.T[:, None, :]
     for i in reversed(range(len(params.conv))):
@@ -447,7 +466,7 @@ def linguistic_encode_cached(labels, params: ModelParams, config: ModelConfig):
     seq = params.embed[list(ids)]
     runs = []
     for p in params.lm_rnn:
-        seq, run = _run_lstm(seq, p, reverse=False)
+        seq, run = _run_lstm(seq, (p,))
         runs.append(run)
     ctx = affine_forward(seq, params.lm_proj.w, params.lm_proj.b)
     return ctx, LinguisticCache(ids, runs)
@@ -460,12 +479,11 @@ def linguistic_encode(labels, params, config) -> np.ndarray:
 
 def _linguistic_backward(grad_ctx: np.ndarray, cache: LinguisticCache,
                          params: ModelParams, config: ModelConfig, grads: ModelParams):
-    grad_seq, gw, gb = affine_backward(grad_ctx, cache.runs[-1].outs, params.lm_proj.w)
+    grad_seq, gw, gb = affine_backward(grad_ctx, cache.runs[-1].out, params.lm_proj.w)
     grads.lm_proj.w += gw
     grads.lm_proj.b += gb
-    for i in reversed(range(len(params.lm_rnn))):
-        grad_seq = _run_lstm_backward(grad_seq, cache.runs[i], params.lm_rnn[i],
-                                      grads.lm_rnn[i])
+    for run, p, g in reversed(list(zip(cache.runs, params.lm_rnn, grads.lm_rnn))):
+        grad_seq = _run_lstm_backward(grad_seq, run, (p,), (g,))
     np.add.at(grads.embed, list(cache.ids), grad_seq)  # unbuffered: repeated ids add up
 
 
@@ -543,11 +561,12 @@ def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
     return lattice, ForwardCache(vis_cache, lm_cache, v, lattice)
 
 
-def backward_pass(grad_tables, cache: ForwardCache,
-                  params: ModelParams, config: ModelConfig) -> ModelParams:
+def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
+                  config: ModelConfig, grads: ModelParams) -> ModelParams:
     """Parameter gradients from the loss gradient at the log-probability
     level, given as lattice.rnnt_grad's (grad_blank (T, U+1), grad_label
-    (T, U)) tables.
+    (T, U)) tables, added into ``grads`` (a zero_grads_shell of ``params``,
+    say), which is returned.
 
     Over the same blocks of frames as forward_lattice, each block's tables are
     scattered into a dense block, chained through the per-node softmax and
@@ -565,7 +584,6 @@ def backward_pass(grad_tables, cache: ForwardCache,
     grad_blank, grad_label = grad_tables
     labels = cache.linguistic.ids[1:]
     enc = cache.tanh_joint.shape[2]
-    grads = zero_grads_shell(params)
     grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
     for block in _frame_blocks(t_total, rows * classes):
         dense = dense_grad(grad_blank[block], grad_label[block], labels, classes)

@@ -10,13 +10,16 @@ Conventions used throughout:
   checked against central finite differences in the test suite. Backward
   functions take the upstream gradient first, then whatever forward-side
   values they need (inputs, caches), and return gradients in the same order
-  as the forward arguments.
+  as the forward arguments. The LSTM step's backward writes its gradients
+  into arrays the scan passes instead, and a backward that consumes an
+  input in place says so.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,13 +114,16 @@ def channel_norm(x: np.ndarray, gain: np.ndarray):
 def channel_norm_backward(grad_out: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                           gain: np.ndarray):
     """grad_x = gain * inv_std / n * (n * g - sum(g) - xhat * sum(g * xhat)) over
-    the n positions of each channel; the two sums are grad_shift and grad_gain."""
+    the n positions of each channel; the two sums are grad_shift and grad_gain.
+    Consumes ``grad_out`` (g), which holds n * g - sum(g) on return; grad_x is
+    the only array it allocates at full size."""
     n = xhat.shape[1] * xhat.shape[2]
     grad_gain = np.einsum("chw,chw->c", grad_out, xhat)
     grad_shift = grad_out.sum(axis=(1, 2))
-    grad_x = grad_out * n
-    grad_x -= grad_shift[:, None, None]
-    grad_x -= xhat * grad_gain[:, None, None]
+    grad_x = np.multiply(xhat, grad_gain[:, None, None])
+    grad_out *= n
+    grad_out -= grad_shift[:, None, None]
+    np.subtract(grad_out, grad_x, out=grad_x)
     grad_x *= (gain * inv_std / n)[:, None, None]
     return grad_x, grad_gain, grad_shift
 
@@ -212,11 +218,18 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True)
 def maxpool2d_backward(
     grad_out: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, int, int], pool: tuple[int, int]
 ) -> np.ndarray:
+    """Scatters grad_out into a zero map at each window's argmax: the flat
+    index of window (c, i, j)'s offset k is that of its corner plus
+    (k // pw) * width + k % pw, and windows do not overlap."""
     ph, pw = pool
     c, h, w = in_shape
-    grad_xp = np.zeros((c, grad_out.shape[1] * ph, grad_out.shape[2] * pw))
-    for k in range(ph * pw):  # through the slices maxpool2d reads
-        np.copyto(grad_xp[:, k // pw :: ph, k % pw :: pw], grad_out, where=argmax == k)
+    _, ho, wo = grad_out.shape
+    hp, wp = ho * ph, wo * pw
+    index = (np.arange(0, ph * wp, wp)[:, None] + np.arange(pw)).ravel()[argmax]
+    index += (np.arange(c)[:, None, None] * hp + np.arange(0, hp, ph)[:, None]) * wp
+    index += np.arange(0, wp, pw)
+    grad_xp = np.zeros((c, hp, wp))
+    grad_xp.reshape(-1)[index] = grad_out
     return grad_xp[:, :h, :w]
 
 
@@ -230,17 +243,26 @@ def maxpool2d_backward(
 #   z[3H:4H]  output gate (sigmoid)
 # Checkpoint payloads and initializers all follow this order.
 #
-# One tanh serves all four gates, as sigmoid(z) = 0.5 * (1 + tanh(z / 2)): a
-# step halves z's sigmoid rows (exact), takes the tanh of all 4H rows and maps
-# them back with one multiply-add, so nothing can overflow.
+# A scan runs D = 1 or 2 directions in one loop, and a step holds their gates
+# gate-major, as a (4, D, H) array: gates[k] is gate k of every direction, so
+# each elementwise op covers all directions in one contiguous call.
+#
+# One tanh serves all four gates, as sigmoid(z) = 0.5 * (1 + tanh(z / 2)). A
+# scan halves the sigmoid rows of its hoisted input projection and of a copy
+# of each w_h (exact: scaling by 0.5 rounds nothing), so a step takes the tanh
+# of its pre-activations as they come and maps the sigmoid rows back with one
+# multiply-add; nothing can overflow.
 
 
 @functools.lru_cache(maxsize=8)
-def _gate_affine(hidden_size: int) -> np.ndarray:
-    """Read-only (2, 4, H) scale and shift by gate: 0.5 and 0.5 on the sigmoid
-    rows, 1 and 0 on the candidate's (a (4, 1) column broadcasts 2x slower)."""
+def _gate_affine(hidden_size: int, directions: int | None = None) -> np.ndarray:
+    """Read-only (2, 4, D, H) scale and shift by gate, or (2, 4, H) without
+    ``directions``: 0.5 and 0.5 on the sigmoid rows, 1 and 0 on the
+    candidate's (a (4, 1, 1) column broadcasts 2x slower)."""
     out = np.repeat([[[0.5], [0.5], [1.0], [0.5]], [[0.5], [0.5], [0.0], [0.5]]],
                     hidden_size, axis=2)
+    if directions is not None:
+        out = np.repeat(out[:, :, None, :], directions, axis=2)
     out.setflags(write=False)
     return out
 
@@ -258,53 +280,97 @@ class LstmParams:
         return self.w_h.shape[1]
 
 
-def lstm_step_cached(zx, h_prev, c_prev, w_h, gates, c, tanh_c, h) -> None:
-    """One step from ``zx``, its (4, H) input projection w_x @ x + b, which a
-    scan computes for all steps at once. Writes the gates (i, f, g, o after
-    their nonlinearities), the cell, tanh(cell) and the output into ``gates``,
-    ``c``, ``tanh_c`` and ``h``; ``h_prev`` and ``c_prev`` are only read."""
-    scale, shift = _gate_affine(len(c))
-    np.add(zx, (w_h @ h_prev).reshape(zx.shape), out=gates)
-    gates *= scale
+class ScanWork(NamedTuple):
+    """What every step of one scan shares (see lstm_scan_work)."""
+
+    w_h: tuple  # each direction's w_h with its sigmoid rows halved
+    zh: np.ndarray  # (D, 4H) rows that receive w_h[d] @ h_prev[d]
+    zh_gates: np.ndarray  # (4, D, H) gate-major view of zh
+    scale: np.ndarray  # (4, D, H) of _gate_affine
+    shift: np.ndarray
+
+
+def lstm_scan_work(layers) -> ScanWork:
+    """The ScanWork of a scan with one LSTM per direction in ``layers``."""
+    hs, d = layers[0].hidden_size, len(layers)
+    w_h = []
+    for p in layers:
+        w = p.w_h * 0.5
+        w[2 * hs : 3 * hs] = p.w_h[2 * hs : 3 * hs]  # the candidate's rows stay whole
+        w_h.append(w)
+    zh = np.empty((d, 4 * hs))
+    return ScanWork(tuple(w_h), zh, zh.reshape(d, 4, hs).swapaxes(0, 1), *_gate_affine(hs, d))
+
+
+def lstm_step_cached(zx, h_prev, c_prev, work: ScanWork, gates, c, tanh_c, h) -> None:
+    """One step of D directions from ``zx``, the (4, D, H) gate-major input
+    projection w_x @ x + b with its sigmoid rows halved, which a scan computes
+    for all steps at once. Writes the gates (i, f, g, o after their
+    nonlinearities), the cell, tanh(cell) and the output, (4, D, H) and
+    (D, H), into ``gates``, ``c``, ``tanh_c`` and ``h``; ``h_prev`` and
+    ``c_prev`` are only read, and ``c`` may be ``c_prev``. With ``work.w_h``
+    empty, ``work.zh_gates`` already holds the halved w_h @ h_prev."""
+    w_h, zh, zh_gates, scale, shift = work
+    for w, x, row in zip(w_h, h_prev, zh):
+        np.dot(w, x, out=row)
+    np.add(zx, zh_gates, out=gates)
     np.tanh(gates, out=gates)
     gates *= scale
     gates += shift
     np.multiply(gates[1], c_prev, out=c)
-    c += gates[0] * gates[2]
+    np.multiply(gates[0], gates[2], out=tanh_c)
+    c += tanh_c
     np.tanh(c, out=tanh_c)
     np.multiply(gates[3], tanh_c, out=h)
 
 
 def lstm_step(x: np.ndarray, state: np.ndarray, params: LstmParams):
-    """One step on a single input vector, the decode-time form of a scan step.
-    ``state`` is the layer's (2, H) carry, rows h and c (zeros at the start).
-    Returns (h, new_state), both views of the step's own scratch rows; the
-    caller's ``state`` is never mutated."""
+    """One step on a single input vector, the decode-time form of a
+    one-direction scan step, without the direction axis. ``state`` is the
+    layer's (2, H) carry, rows h and c (zeros at the start). Returns (h,
+    new_state), both views of the step's own scratch rows; the caller's
+    ``state`` is never mutated."""
     hs = params.hidden_size
     if x.shape[-1] != params.w_x.shape[1]:
         raise UsageError(f"lstm input size {x.shape[-1]} != expected {params.w_x.shape[1]}")
-    rows = np.empty((7, hs))  # gates, then tanh(c), h and c
-    lstm_step_cached((params.w_x @ x + params.b).reshape(4, hs), state[0], state[1],
-                     params.w_h, rows[:4], rows[6], rows[4], rows[5])
-    return rows[5], rows[5:]
+    scale, shift = _gate_affine(hs)
+    zx, zh, gates, rows = np.empty((4, 4, hs))  # the last holds tanh(c), h and c
+    flat = zx.reshape(-1)
+    np.dot(params.w_x, x, out=flat)
+    flat += params.b
+    np.dot(params.w_h, state[0], out=zh.reshape(-1))
+    zx *= scale
+    zh *= scale
+    # a plain tuple unpacks like a ScanWork and is cheaper to build
+    lstm_step_cached(zx, (), state[1], ((), (), zh, scale, shift), gates, rows[2], rows[0], rows[1])
+    return rows[1], rows[1:3]
 
 
 def lstm_backward_factors(gates: np.ndarray, tanh_c: np.ndarray, c_prev: np.ndarray):
-    """(T, 6, H) derivative factors of a whole scan, by row: dz_i, dz_f and dz_g
-    per unit of dc; dz_o and dc per unit of dh; and f, which carries dc back."""
-    i, f, g, o = gates.transpose(1, 0, 2)
+    """(T, 6, D, H) derivative factors of a whole scan of (T, 4, D, H) gates, by
+    row: dz_i, dz_f and dz_g per unit of dc; dz_o and dc per unit of dh; and f,
+    which carries dc back."""
+    i, f, g, o = gates.swapaxes(0, 1)
     return np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g),
                      o * (1.0 - o) * tanh_c, o * (1.0 - tanh_c * tanh_c), f], axis=1)
 
 
-def lstm_step_backward(grad_h, grad_c, factors, w_h_t, dz):
-    """Backward through one scan step from the gradients at its output and cell
-    (the latter from the future), its row of lstm_backward_factors and w_h.T:
-    writes the (4, H) gradient at z into ``dz``, returns (grad_h_prev,
-    grad_c_prev). The scan's w_x, w_h, b and input gradients are then
-    dZ.T @ X, dZ.T @ H_prev, sum(dZ) and dZ @ w_x over its stacked dz rows."""
-    dc = grad_h * factors[4]
-    dc += grad_c
-    np.multiply(factors[:3], dc, out=dz[:3])
-    np.multiply(factors[3], grad_h, out=dz[3])
-    return w_h_t @ dz.reshape(-1), dc * factors[5]
+def lstm_step_backward(grad_h, dh, dc, dc_step, factors, w_h_t, dz, dz_gates) -> None:
+    """Backward through one scan step of D directions. ``grad_h`` (D, H) is the
+    gradient at the step's outputs from above and is consumed: the step adds
+    ``dh``, the gradient at them from the step after. ``dc`` is the gradient
+    at the step's cell from the step after, ``factors`` the step's row of
+    lstm_backward_factors and ``w_h_t`` each direction's w_h.T. Writes the
+    (D, 4H) gradient at z into ``dz`` (``dz_gates`` is its (4, D, H)
+    gate-major view), then overwrites ``dh`` and ``dc`` with the gradients at
+    h_prev and c_prev; ``dc_step`` is scratch. The scan's w_x, w_h, b and input
+    gradients are then dZ.T @ X, dZ.T @ H_prev, sum(dZ) and dZ @ w_x over each
+    direction's rows of dz."""
+    grad_h += dh
+    np.multiply(grad_h, factors[4], out=dc_step)
+    dc_step += dc
+    np.multiply(factors[:3], dc_step, out=dz_gates[:3])
+    np.multiply(factors[3], grad_h, out=dz_gates[3])
+    for w, z, row in zip(w_h_t, dz, dh):
+        np.dot(w, z, out=row)
+    np.multiply(dc_step, factors[5], out=dc)

@@ -209,12 +209,14 @@ def _augment_seed(base_seed: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, epoch, index)).generate_state(1)[0])
 
 
-def _example_loss_grads(sample, labels, params, model_cfg, inv_batch):
+def _example_loss_grads(sample, labels, params, model_cfg, inv_batch, grads):
+    """(loss, grads) of one example, its gradient scaled by inv_batch and added
+    into ``grads``."""
     lattice, cache = forward_lattice(sample.image, labels, params, model_cfg)
     tables = rnnt_alphabeta(lattice, labels)
     grad_blank, grad_label = rnnt_grad(tables)
     return -tables.log_prob, backward_pass((grad_blank * inv_batch, grad_label * inv_batch),
-                                           cache, params, model_cfg)
+                                           cache, params, model_cfg, grads)
 
 
 def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthConfig,
@@ -242,6 +244,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(model_cfg, train_cfg.seed)
     opt = init_opt_state(params)
+    batch_grads, example_grads = zero_grads_shell(params), zero_grads_shell(params)
     canon_train = [preprocess(s, model_cfg.input_height) for s in train_samples]
     canon_val = [preprocess(s, model_cfg.input_height) for s in val_samples]
     label_cache = [vocab.encode(s.transcript) for s in canon_train]
@@ -263,15 +266,17 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
             for start in range(0, n, train_cfg.batch_size):
                 chunk = [int(i) for i in order[start : start + train_cfg.batch_size]]
                 lr = lr_at(global_step, steps_per_epoch, train_cfg)
-                batch_grads = zero_grads_shell(params)
+                batch_grads.flat.fill(0.0)
                 batch_loss = 0.0
                 try:
                     for idx in chunk:
                         sample = augment(canon_train[idx], synth_cfg,
                                          train_cfg.augment_strength,
                                          _augment_seed(train_cfg.seed, epoch, idx))
+                        example_grads.flat.fill(0.0)
                         loss, grads = _example_loss_grads(sample, label_cache[idx], params,
-                                                          model_cfg, 1.0 / len(chunk))
+                                                          model_cfg, 1.0 / len(chunk),
+                                                          example_grads)
                         batch_loss += loss / len(chunk)
                         batch_grads.flat += grads.flat
                 except UsageError as exc:

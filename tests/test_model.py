@@ -214,7 +214,7 @@ def test_visual_encode_shape_law(width):
     assert feats.shape == (cfg.frames_for_width(width), cfg.encoded_size)
 
 
-@pytest.mark.parametrize("width", [1, 31, 901])
+@pytest.mark.parametrize("width", [1, 8, 31, 901])
 def test_inference_forward_equals_the_cached_forward(width):
     cfg = full_config()
     params = md.init_params(cfg, seed=3)
@@ -375,7 +375,8 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     params = md.init_params(cfg, seed=9)
     image = np.random.default_rng(4).random((4, 6))
     _, cache = md.forward_lattice(image, (1, 2), params, cfg)
-    grads = md.backward_pass((np.zeros((3, 3)), np.zeros((3, 2))), cache, params, cfg)
+    grads = md.backward_pass((np.zeros((3, 3)), np.zeros((3, 2))), cache, params, cfg,
+                             md.zero_grads_shell(params))
     assert np.all(grads.flat == 0.0)
 
 
@@ -385,7 +386,7 @@ def test_backward_rejects_mismatched_gradient_shape():
     image = np.random.default_rng(4).random((4, 6))
     lattice, cache = md.forward_lattice(image, (1,), params, cfg)
     with pytest.raises(UsageError):
-        md.backward_pass(np.zeros((1, 1, 4)), cache, params, cfg)
+        md.backward_pass(np.zeros((1, 1, 4)), cache, params, cfg, md.zero_grads_shell(params))
 
 
 def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
@@ -398,7 +399,7 @@ def test_joint_gemm_backward_matches_einsum_reference(monkeypatch):
     seen = {}
     for name in ("_visual_backward", "_linguistic_backward"):
         monkeypatch.setattr(md, name, lambda g, *rest, name=name: seen.setdefault(name, g))
-    grads = md.backward_pass(grad_tables, cache, params, cfg)
+    grads = md.backward_pass(grad_tables, cache, params, cfg, md.zero_grads_shell(params))
 
     grad_lattice = dense_grad(*grad_tables, labels, lattice.shape[2])
     d_logits = md.log_softmax_backward(grad_lattice, cache.lattice)
@@ -482,7 +483,8 @@ def test_blocked_joint_matches_the_unblocked_reference(monkeypatch, case):
     assert np.array_equal(grad_label, dense[:, np.arange(len(labels)), list(labels)])
     assert np.all(dense[~used] == 0.0)
 
-    grads = md.backward_pass((grad_blank, grad_label), cache, params, cfg)
+    grads = md.backward_pass((grad_blank, grad_label), cache, params, cfg,
+                             md.zero_grads_shell(params))
     ref = unblocked_backward(dense, cache, params, cfg)
     assert np.array_equal(cache.tanh_joint, ref_v)  # the backward leaves the cache alone
     # per tensor, against the largest gradient
@@ -507,7 +509,7 @@ def test_training_joint_memory_stays_far_below_the_lattice():
         tables = rnnt_alphabeta(lattice, labels)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        md.backward_pass(rnnt_grad(tables), cache, params, cfg)
+        md.backward_pass(rnnt_grad(tables), cache, params, cfg, md.zero_grads_shell(params))
         backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -526,8 +528,8 @@ def test_embedding_gradient_sums_repeated_label_ids():
     md._linguistic_backward(grad_ctx, cache, params, cfg, grads)
 
     ref = md.zero_grads_shell(params)
-    grad_seq, _, _ = md.affine_backward(grad_ctx, cache.runs[-1].outs, params.lm_proj.w)
-    grad_seq = md._run_lstm_backward(grad_seq, cache.runs[0], params.lm_rnn[0], ref.lm_rnn[0])
+    grad_seq, _, _ = md.affine_backward(grad_ctx, cache.runs[-1].out, params.lm_proj.w)
+    grad_seq = md._run_lstm_backward(grad_seq, cache.runs[0], params.lm_rnn, ref.lm_rnn)
     for row, token in enumerate((0,) + labels):
         ref.embed[token] += grad_seq[row]
     assert np.array_equal(grads.embed, ref.embed)
@@ -536,35 +538,57 @@ def test_embedding_gradient_sums_repeated_label_ids():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_hoisted_bptt_matches_per_step_accumulation(reverse):
-    """One GEMM per scan for w_x, w_h, b and the input gradient equals summing
-    outer products step by step."""
+    """One GEMM per direction for w_x, w_h, b and the input gradient equals
+    summing outer products step by step. The backward direction is direction
+    1 of a two-direction scan."""
     cfg = tiny_model_config()
-    p = md.init_params(cfg, seed=12).vis_rnn[0].fwd
+    bi = md.init_params(cfg, seed=12).vis_rnn[0]
+    layers, d = ((bi.fwd, bi.bwd), 1) if reverse else ((bi.fwd,), 0)
+    p, hs, n = layers[d], layers[d].hidden_size, 9
     rng = np.random.default_rng(13)
-    seq = rng.normal(size=(9, p.w_x.shape[1]))
-    grad_out = rng.normal(size=(9, p.hidden_size))
-    _, run = md._run_lstm(seq, p, reverse=reverse)
+    seq = rng.normal(size=(n, p.w_x.shape[1]))
+    grad_out = np.zeros((n, hs * len(layers)))  # no gradient reaches direction 0 if d = 1
+    grad_out[:, d * hs :] = rng.normal(size=(n, hs))
+    _, run = md._run_lstm(seq, layers)
 
-    def shell():
-        return md.zero_grads_shell(md.init_params(cfg, seed=12)).vis_rnn[0].fwd
+    def shells():
+        grads = md.zero_grads_shell(md.init_params(cfg, seed=12)).vis_rnn[0]
+        return (grads.fwd, grads.bwd)[: len(layers)]
 
-    hoisted = shell()
-    grad_seq = md._run_lstm_backward(grad_out, run, p, hoisted)
+    hoisted = shells()
+    grad_seq = md._run_lstm_backward(grad_out, run, layers, hoisted)
 
-    ref, ref_seq = shell(), np.zeros_like(seq)
-    factors = md.lstm_backward_factors(run.gates, run.tanh_c, run.c_prev)
-    dh = dc = np.zeros(p.hidden_size)
-    for t in (range(len(seq)) if reverse else reversed(range(len(seq)))):
-        dz = np.empty((4, p.hidden_size))
-        dh, dc = md.lstm_step_backward(grad_out[t] + dh, dc, factors[t], p.w_h.T, dz)
-        dz = dz.reshape(-1)
-        ref.w_x += np.outer(dz, run.inputs[t])
-        ref.w_h += np.outer(dz, run.h_prev[t])
-        ref.b += dz
-        ref_seq[t] = p.w_x.T @ dz
+    ref, ref_seq = shells()[d], np.zeros_like(seq)
+    factors = md.lstm_backward_factors(run.gates, run.tanh_c, run.c[:-1])
+    dh, dc, dc_step = np.zeros((3, len(layers), hs))
+    for s in reversed(range(n)):
+        t = n - 1 - s if d else s  # the sequence position of direction d at step s
+        dz = np.empty((len(layers), 4 * hs))
+        grad_h = np.stack([grad_out[n - 1 - s if k else s, k * hs : (k + 1) * hs]
+                           for k in range(len(layers))])
+        md.lstm_step_backward(grad_h, dh, dc, dc_step, factors[s], [q.w_h.T for q in layers],
+                              dz, dz.reshape(len(layers), 4, hs).swapaxes(0, 1))
+        ref.w_x += np.outer(dz[d], run.inputs[t])
+        ref.w_h += np.outer(dz[d], run.h[s, d])
+        ref.b += dz[d]
+        ref_seq[t] = p.w_x.T @ dz[d]
     for name in ("w_x", "w_h", "b"):
-        assert rel_err(getattr(hoisted, name), getattr(ref, name)) <= 1e-12, name
+        assert rel_err(getattr(hoisted[d], name), getattr(ref, name)) <= 1e-12, name
     assert rel_err(grad_seq, ref_seq) <= 1e-12
+
+
+def test_backward_pass_adds_into_the_given_gradients():
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=16)
+    labels = (1, 2)
+    lattice, cache = md.forward_lattice(np.random.default_rng(17).random((4, 6)), labels,
+                                        params, cfg)
+    tables = rnnt_grad(rnnt_alphabeta(lattice, labels))
+    fresh = md.backward_pass(tables, cache, params, cfg, md.zero_grads_shell(params))
+    given = md.zero_grads_shell(params)
+    given.flat[...] = 1.0
+    assert md.backward_pass(tables, cache, params, cfg, given) is given
+    assert np.array_equal(given.flat, 1.0 + fresh.flat)
 
 
 def model_gradient_error(image, labels, params, cfg):
@@ -578,7 +602,7 @@ def model_gradient_error(image, labels, params, cfg):
 
     lattice, cache, p = forward(params.flat)
     grad_lattice = rnnt_grad(rnnt_alphabeta(lattice, labels))
-    analytic = md.backward_pass(grad_lattice, cache, p, cfg).flat
+    analytic = md.backward_pass(grad_lattice, cache, p, cfg, md.zero_grads_shell(p)).flat
     numeric = fd_grad(lambda v: -rnnt_alphabeta(forward(v)[0], labels).log_prob, params.flat)
     return rel_err(analytic, numeric)
 

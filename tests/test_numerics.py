@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_channel_norm_gradients_match_fd():
     r = rng.normal(size=(3, 4, 5))
 
     _, xhat, inv_std = _normalized(x, gain, shift)
-    gx, gg, gs = nm.channel_norm_backward(r, xhat, inv_std, gain)
+    gx, gg, gs = nm.channel_norm_backward(r.copy(), xhat, inv_std, gain)
     assert (
         rel_err(gx, fd_grad(lambda v: float(np.sum(r * _normalized(v, gain, shift)[0])), x))
         < 1e-6
@@ -397,10 +398,24 @@ def test_channel_norm_cached_statistics_match_recomputed_ones(shape):
     out, xhat, _ = _normalized(x, gain, shift)
     reference_out, reference_xhat, _ = _channel_norm_reference(x, gain, shift)
     assert rel_err(out, reference_out) <= 1e-12 and rel_err(xhat, reference_xhat) <= 1e-12
-    fast = nm.channel_norm_backward(grad_out, xhat, inv_std, gain)
+    fast = nm.channel_norm_backward(grad_out.copy(), xhat, inv_std, gain)
     for name, a, b in zip(("grad_x", "grad_gain", "grad_shift"), fast,
                           _channel_norm_backward_reference(grad_out, x, gain)):
         assert rel_err(a, b) <= 1e-12, name
+
+
+def test_channel_norm_backward_allocates_only_its_result():
+    rng = np.random.default_rng(57)
+    grad_out, xhat = rng.normal(size=(2, 8, 32, 160))
+    inv_std, gain = rng.random(8) + 0.5, rng.normal(size=8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grad_x, _, _ = nm.channel_norm_backward(grad_out, xhat, inv_std, gain)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * grad_x.nbytes
 
 
 def test_channel_norm_rejects_a_map_it_cannot_centre_in_place():
@@ -590,9 +605,9 @@ def test_lstm_bptt_matches_fd():
         return total
 
     # analytic: the scan with its cache, then backward through time
-    _, run = md._run_lstm(xs, params, reverse=False)
+    _, run = md._run_lstm(xs, (params,))
     grads = _zero_lstm_like(params)
-    md._run_lstm_backward(readout, run, params, grads)
+    md._run_lstm_backward(readout, run, (params,), (grads,))
 
     fd = fd_grad(lambda v: loss_from(_unpack_lstm(v, params)), _pack_lstm(params))
     assert rel_err(_pack_lstm(grads), fd) < 1e-6
@@ -648,9 +663,79 @@ def _lstm_scan_reference(seq, grad_out, params, reverse):
     return outs, gates, cells, grads, grad_seq
 
 
+# The per-direction scan the merged one replaced: one loop per direction, one
+# step call per direction-step, the sigmoid rows halved inside every step.
+
+
+def _gate_affine_reference(hs):
+    return np.repeat([[[0.5], [0.5], [1.0], [0.5]], [[0.5], [0.5], [0.0], [0.5]]], hs, axis=2)
+
+
+def _direction_step_reference(zx, h_prev, c_prev, w_h, gates, c, tanh_c, h):
+    scale, shift = _gate_affine_reference(len(c))
+    np.add(zx, (w_h @ h_prev).reshape(zx.shape), out=gates)
+    gates *= scale
+    np.tanh(gates, out=gates)
+    gates *= scale
+    gates += shift
+    np.multiply(gates[1], c_prev, out=c)
+    c += gates[0] * gates[2]
+    np.tanh(c, out=tanh_c)
+    np.multiply(gates[3], tanh_c, out=h)
+
+
+def _direction_step_backward_reference(grad_h, grad_c, factors, w_h_t, dz):
+    dc = grad_h * factors[4]
+    dc += grad_c
+    np.multiply(factors[:3], dc, out=dz[:3])
+    np.multiply(factors[3], grad_h, out=dz[3])
+    return w_h_t @ dz.reshape(-1), dc * factors[5]
+
+
+def _direction_scan_reference(seq, p, reverse):
+    """Returns (outs (T, H), run) with run = (inputs, gates (T, 4, H), outs,
+    cells, tanh_c, h_prev, c_prev, reverse), rows in sequence order."""
+    n, hs = len(seq), p.hidden_size
+    zx = (seq @ p.w_x.T + p.b).reshape(n, 4, hs)
+    h, c = np.zeros((2, n + 1, hs))
+    now, prev = (slice(n), slice(1, None)) if reverse else (slice(1, None), slice(n))
+    run = (seq, np.empty((n, 4, hs)), h[now], c[now], np.empty((n, hs)), h[prev], c[prev], reverse)
+    _, gates, outs, cells, tanh_c, h_prev, c_prev, _ = run
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        _direction_step_reference(zx[t], h_prev[t], c_prev[t], p.w_h, gates[t], cells[t],
+                                  tanh_c[t], outs[t])
+    return outs, run
+
+
+def _direction_scan_backward_reference(grad_out, run, p, grads):
+    inputs, gates, outs, _, tanh_c, h_prev, c_prev, reverse = run
+    n, hs = outs.shape
+    i, f, g, o = gates.transpose(1, 0, 2)
+    factors = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g),
+                        o * (1.0 - o) * tanh_c, o * (1.0 - tanh_c * tanh_c), f], axis=1)
+    dz, dh, dc, w_h_t = np.empty((n, 4, hs)), np.zeros(hs), np.zeros(hs), p.w_h.T
+    for t in range(n) if reverse else range(n - 1, -1, -1):
+        dh, dc = _direction_step_backward_reference(grad_out[t] + dh, dc, factors[t], w_h_t, dz[t])
+    dz = dz.reshape(n, 4 * hs)
+    grads.w_x += dz.T @ inputs
+    grads.w_h += dz.T @ h_prev
+    grads.b += dz.sum(axis=0)
+    return dz @ p.w_x
+
+
+def _direction_rows(run, d):
+    """Direction d's gates (T, 4, H) and cells (T, H) of a merged scan, rows
+    in sequence order."""
+    gates = run.gates[:, :, d] if d == 0 else run.gates[::-1, :, d]
+    cells = run.c[1:, d] if d == 0 else run.c[:0:-1, d]
+    return gates, cells
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("steps", [1, 2, 9, 145])
 def test_hoisted_scan_matches_per_step_reference(steps, reverse):
+    """Direction 0 of a one-direction scan, or direction 1 of a two-direction
+    one, against the per-step cell."""
     rng = np.random.default_rng(41 + steps)
     params = _rand_lstm(rng, 5, 6)
     seq = rng.normal(size=(steps, 5))
@@ -658,31 +743,101 @@ def test_hoisted_scan_matches_per_step_reference(steps, reverse):
     ref_outs, ref_gates, ref_cells, ref_grads, ref_seq = _lstm_scan_reference(
         seq, grad_out, params, reverse)
 
-    outs, run = md._run_lstm(seq, params, reverse)
-    grads = _zero_lstm_like(params)
-    grad_seq = md._run_lstm_backward(grad_out, run, params, grads)
-    assert rel_err(outs, ref_outs) <= 1e-12
-    assert rel_err(run.gates, ref_gates) <= 1e-12
-    assert rel_err(run.cells, ref_cells) <= 1e-12
+    layers = (_rand_lstm(rng, 5, 6), params) if reverse else (params,)
+    grads = tuple(_zero_lstm_like(p) for p in layers)
+    d = len(layers) - 1
+    outs, run = md._run_lstm(seq, layers)
+    padded = np.zeros((steps, 6 * len(layers)))  # no gradient reaches direction 0 if d = 1
+    padded[:, 6 * d :] = grad_out
+    grad_seq = md._run_lstm_backward(padded, run, layers, grads)
+    gates, cells = _direction_rows(run, d)
+    assert rel_err(outs[:, 6 * d :], ref_outs) <= 1e-12
+    assert rel_err(gates, ref_gates) <= 1e-12
+    assert rel_err(cells, ref_cells) <= 1e-12
     for name in ("w_x", "w_h", "b"):
-        assert rel_err(getattr(grads, name), getattr(ref_grads, name)) <= 1e-12, name
+        assert rel_err(getattr(grads[d], name), getattr(ref_grads, name)) <= 1e-12, name
     assert rel_err(grad_seq, ref_seq) <= 1e-12
+
+
+def _merged_against_per_direction(seq, layers, grad_out):
+    """Runs the merged scan and the per-direction reference scans forward and
+    backward; asserts every output, cache row and gradient bitwise equal, and
+    returns the merged outputs."""
+    hs = layers[0].hidden_size
+    out, run = md._run_lstm(seq, layers)
+    grads = tuple(_zero_lstm_like(p) for p in layers)
+    grad_seq = md._run_lstm_backward(grad_out, run, layers, grads)
+    assert np.array_equal(md._run_lstm(seq, layers, keep_cache=False)[0], out)
+    ref_seq = None
+    for d, (p, g) in enumerate(zip(layers, grads)):
+        ref_out, ref_run = _direction_scan_reference(seq, p, reverse=d == 1)
+        ref_grads = _zero_lstm_like(p)
+        part = _direction_scan_backward_reference(grad_out[:, d * hs : (d + 1) * hs], ref_run,
+                                                  p, ref_grads)
+        ref_seq = part if ref_seq is None else ref_seq + part
+        gates, cells = _direction_rows(run, d)
+        assert out[:, d * hs : (d + 1) * hs].tobytes() == ref_out.tobytes()
+        assert np.ascontiguousarray(gates).tobytes() == ref_run[1].tobytes()
+        assert np.ascontiguousarray(cells).tobytes() == ref_run[3].tobytes()
+        for name in ("w_x", "w_h", "b"):
+            assert getattr(g, name).tobytes() == getattr(ref_grads, name).tobytes(), (d, name)
+    assert grad_seq.tobytes() == ref_seq.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("steps", [1, 2, 13, 145])
+@pytest.mark.parametrize("n_in,hs,layers", [(32, 64, 1), (32, 16, 2)],
+                         ids=["s1", "full_config"])
+def test_merged_bilstm_scan_is_bitwise_the_per_direction_scans(steps, n_in, hs, layers):
+    """The visual BiLSTM stacks of the s1 preset (one layer) and of
+    test_model's full_config (two layers): each layer's merged scan against
+    one per-direction scan each way."""
+    rng = np.random.default_rng(59 + steps)
+    seq = rng.normal(size=(steps, n_in))
+    for _ in range(layers):
+        bi = (_rand_lstm(rng, seq.shape[1], hs), _rand_lstm(rng, seq.shape[1], hs))
+        seq = _merged_against_per_direction(seq, bi, rng.normal(size=(steps, 2 * hs)))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 13, 145])
+@pytest.mark.parametrize("n_in,hs", [(32, 64), (8, 16)], ids=["s1", "full_config"])
+def test_one_direction_scan_is_bitwise_the_per_direction_scan(steps, n_in, hs):
+    """The linguistic encoder's scan: one direction, forward."""
+    rng = np.random.default_rng(61 + steps)
+    _merged_against_per_direction(rng.normal(size=(steps, n_in)), (_rand_lstm(rng, n_in, hs),),
+                                  rng.normal(size=(steps, hs)))
+
+
+def test_decode_step_is_bitwise_the_per_direction_step():
+    """lstm_step against the per-direction scan's cell from any state, and
+    against a one-step scan from the zero state."""
+    rng = np.random.default_rng(67)
+    p = _rand_lstm(rng, 5, 6)
+    for _ in range(10):
+        x, state = rng.normal(size=5), rng.normal(size=(2, 6))
+        rows = np.empty((7, 6))
+        _direction_step_reference((p.w_x @ x + p.b).reshape(4, 6), state[0], state[1], p.w_h,
+                                  rows[:4], rows[6], rows[4], rows[5])
+        h, new_state = nm.lstm_step(x, state, p)
+        assert h.tobytes() == rows[5].tobytes() and new_state.tobytes() == rows[5:].tobytes()
+        out, _ = md._run_lstm(x[None], (p,))
+        assert nm.lstm_step(x, np.zeros((2, 6)), p)[0].tobytes() == out[0].tobytes()
 
 
 def test_hoisted_scan_is_bitwise_deterministic():
     rng = np.random.default_rng(43)
-    params = _rand_lstm(rng, 5, 6)
-    seq, grad_out = rng.normal(size=(30, 5)), rng.normal(size=(30, 6))
+    layers = (_rand_lstm(rng, 5, 6), _rand_lstm(rng, 5, 6))
+    seq, grad_out = rng.normal(size=(30, 5)), rng.normal(size=(30, 12))
 
-    def scan(reverse):
-        _, run = md._run_lstm(seq, params, reverse)
-        grads = _zero_lstm_like(params)
-        grad_seq = md._run_lstm_backward(grad_out, run, params, grads)
-        return [run.gates, run.outs, run.cells, run.tanh_c, grad_seq, grads.w_x,
-                grads.w_h, grads.b]
+    def scan(d):
+        out, run = md._run_lstm(seq, layers[:d])
+        grads = tuple(_zero_lstm_like(p) for p in layers[:d])
+        grad_seq = md._run_lstm_backward(grad_out[:, : 6 * d], run, layers[:d], grads)
+        return [run.gates, out, run.c, run.tanh_c, grad_seq,
+                *(getattr(g, name) for g in grads for name in ("w_x", "w_h", "b"))]
 
-    for reverse in (False, True):
-        for a, b in zip(scan(reverse), scan(reverse)):
+    for d in (1, 2):
+        for a, b in zip(scan(d), scan(d)):
             assert np.array_equal(a, b)
 
 
@@ -694,16 +849,17 @@ def test_one_tanh_cell_at_extreme_preactivations():
     z = np.concatenate([np.linspace(-1e4, 1e4, 40 * hs), np.linspace(-40, 40, 40 * hs)])
     seq = z.reshape(-1, 4 * hs)  # one step per row, every gate of it
     params = nm.LstmParams(np.eye(4 * hs), np.zeros((4 * hs, hs)), np.zeros(4 * hs))
-    _, run = md._run_lstm(seq, params, reverse=False)
+    out, run = md._run_lstm(seq, (params,))
+    gates = run.gates[:, :, 0]
     zg = seq.reshape(-1, 4, hs)
     expz = np.exp(-np.abs(zg))  # the logistic function without an overflowing exp
     logistic = np.where(zg >= 0, 1.0 / (1.0 + expz), expz / (1.0 + expz))
-    sig = run.gates[:, [0, 1, 3]]
+    sig = gates[:, [0, 1, 3]]
     assert np.all((sig >= 0.0) & (sig <= 1.0))
-    assert np.all(np.abs(run.gates[:, 2]) <= 1.0)
+    assert np.all(np.abs(gates[:, 2]) <= 1.0)
     assert np.max(np.abs(sig - logistic[:, [0, 1, 3]])) <= 1e-15
-    assert np.array_equal(run.gates[:, 2], np.tanh(zg[:, 2]))
-    assert np.all(np.abs(run.outs) <= 1.0)
+    assert np.array_equal(gates[:, 2], np.tanh(zg[:, 2]))
+    assert np.all(np.abs(out) <= 1.0)
     for x in seq:  # the decode-time step uses the same cell
         h, state = nm.lstm_step(x, np.zeros((2, hs)), params)
         assert np.all(np.abs(h) <= 1.0) and np.all(np.abs(state[1]) <= 1.0)

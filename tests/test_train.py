@@ -288,7 +288,7 @@ def test_reloaded_checkpoint_evaluates_identically(tmp_path):
 def test_train_run_aborts_on_divergence_with_identifiers(tmp_path, monkeypatch):
     args = toy_setup(tmp_path, "diverge")
 
-    def poisoned(sample, labels, params, model_cfg, inv_batch):
+    def poisoned(sample, labels, params, model_cfg, inv_batch, grads):
         return float("nan"), md.zero_grads_shell(params)
 
     monkeypatch.setattr(tr, "_example_loss_grads", poisoned)
@@ -299,12 +299,39 @@ def test_train_run_aborts_on_divergence_with_identifiers(tmp_path, monkeypatch):
 def test_train_run_wraps_forward_failures_with_identifiers(tmp_path, monkeypatch):
     args = toy_setup(tmp_path, "fail")
 
-    def broken(sample, labels, params, model_cfg, inv_batch):
+    def broken(sample, labels, params, model_cfg, inv_batch, grads):
         raise UsageError("boom")
 
     monkeypatch.setattr(tr, "_example_loss_grads", broken)
     with pytest.raises(TrainingError, match=r"epoch 1.*boom"):
         tr.train_run(*args, clock=FakeClock())
+
+
+def test_batch_gradient_is_the_sum_of_fresh_example_gradients(tmp_path, monkeypatch):
+    """The reused example and batch buffers give what fresh shells would:
+    every Adam step sees the sum, in batch order, of each example's gradient
+    computed into zeros."""
+    args = toy_setup(tmp_path, "sum")
+    real_example, real_adam = tr._example_loss_grads, tr.adam_step
+    fresh, checked = [], []
+
+    def example(sample, labels, params, model_cfg, inv_batch, grads):
+        shell = md.zero_grads_shell(params)
+        fresh.append(real_example(sample, labels, params, model_cfg, inv_batch, shell)[1].flat)
+        return real_example(sample, labels, params, model_cfg, inv_batch, grads)
+
+    def adam(params, grads, opt, lr, clip_norm):
+        total = np.zeros_like(grads.flat)
+        for g in fresh:
+            total += g
+        checked.append(np.array_equal(grads.flat, total))
+        fresh.clear()
+        return real_adam(params, grads, opt, lr, clip_norm=clip_norm)
+
+    monkeypatch.setattr(tr, "_example_loss_grads", example)
+    monkeypatch.setattr(tr, "adam_step", adam)
+    tr.train_run(*args, clock=FakeClock())
+    assert len(checked) == 6 and all(checked)
 
 
 def test_train_run_rejects_vocab_mismatch(tmp_path):
