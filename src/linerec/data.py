@@ -9,6 +9,7 @@ tab-separated manifest, and a one-codepoint-per-line charset file.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,9 +70,10 @@ class SynthConfig(ConfigSection):
             raise ConfigError(f"direction {self.direction!r} not one of {DIRECTIONS}")
 
 
+@functools.cache
 def synth_charset(k: int) -> Vocab:
     """Deterministic toy charset: letters and digits first, then a block of
-    CJK codepoints once those run out."""
+    CJK codepoints once those run out. Cached: a Vocab is immutable."""
     if k < 1:
         raise ConfigError(f"charset size must be >= 1, got {k}")
     pool = string.ascii_lowercase + string.ascii_uppercase + string.digits
@@ -79,9 +81,7 @@ def synth_charset(k: int) -> Vocab:
     return Vocab(tuple(symbols))
 
 
-_MASK_CACHE: dict = {}
-
-
+@functools.cache
 def glyph_masks(k: int) -> np.ndarray:
     """(k, 5, 5) boolean masks, one per class id 1..k, fixed for all time.
 
@@ -90,25 +90,27 @@ def glyph_masks(k: int) -> np.ndarray:
     visually separable. The first k masks are the same for every charset
     size, so growing a charset never changes existing glyphs.
     """
-    if k not in _MASK_CACHE:
-        masks = np.zeros((k, GLYPH_GRID, GLYPH_GRID), dtype=bool)
-        for c in range(k):
-            rng = np.random.default_rng(0x517F ^ (c + 1))
-            for _attempt in range(10_000):
-                cand = rng.random((GLYPH_GRID, GLYPH_GRID)) < 0.5
-                if np.all(np.count_nonzero(cand ^ masks[:c], axis=(1, 2)) >= MIN_GLYPH_HAMMING):
-                    masks[c] = cand
-                    break
-            else:
-                raise DataError(f"could not place a distinct glyph for class {c + 1}")
-        masks.setflags(write=False)
-        _MASK_CACHE[k] = masks
-    return _MASK_CACHE[k]
+    masks = np.zeros((k, GLYPH_GRID, GLYPH_GRID), dtype=bool)
+    for c in range(k):
+        rng = np.random.default_rng(0x517F ^ (c + 1))
+        for _attempt in range(10_000):
+            cand = rng.random((GLYPH_GRID, GLYPH_GRID)) < 0.5
+            if np.all(np.count_nonzero(cand ^ masks[:c], axis=(1, 2)) >= MIN_GLYPH_HAMMING):
+                masks[c] = cand
+                break
+        else:
+            raise DataError(f"could not place a distinct glyph for class {c + 1}")
+    masks.setflags(write=False)
+    return masks
 
 
-def _upscale(mask: np.ndarray, cell: int) -> np.ndarray:
+@functools.cache
+def glyph_atlas(k: int, cell: int) -> np.ndarray:
+    """(k, cell, cell) float glyph images: glyph_masks(k) upscaled to the cell."""
     idx = (np.arange(cell) * GLYPH_GRID) // cell
-    return mask[np.ix_(idx, idx)].astype(np.float64)
+    atlas = glyph_masks(k)[:, idx[:, None], idx].astype(np.float64)
+    atlas.setflags(write=False)
+    return atlas
 
 
 def render_synthetic_line(cfg: SynthConfig, seed: int) -> LineSample:
@@ -116,7 +118,6 @@ def render_synthetic_line(cfg: SynthConfig, seed: int) -> LineSample:
     cfg.validate()
     rng = np.random.default_rng(seed)
     vocab = synth_charset(cfg.charset_size)
-    masks = glyph_masks(cfg.charset_size)
     length = int(rng.integers(cfg.length_min, cfg.length_max + 1))
     ids = rng.integers(1, cfg.charset_size + 1, size=length)
     cell, height = cfg.cell, cfg.canvas_height
@@ -125,14 +126,11 @@ def render_synthetic_line(cfg: SynthConfig, seed: int) -> LineSample:
     offsets = rng.integers(0, height - cell + 1, size=length)
     width = int(np.sum(gaps)) + length * cell
     image = np.zeros((height, width))
-    x = int(gaps[0])
-    for i, class_id in enumerate(ids):
-        glyph = _upscale(masks[class_id - 1], cell)
-        y = int(offsets[i])
-        image[y : y + cell, x : x + cell] = np.maximum(
-            image[y : y + cell, x : x + cell], glyph
-        )
-        x += cell + int(gaps[i + 1])
+    # glyph i's cell starts after i cells and gaps 0..i; cells never overlap
+    x = np.cumsum(gaps[:-1]) + cell * np.arange(length)
+    span = np.arange(cell)
+    rows, cols = (offsets[:, None] + span)[:, :, None], (x[:, None] + span)[:, None, :]
+    image[rows, cols] = glyph_atlas(cfg.charset_size, cell)[ids - 1]
     transcript = vocab.decode(ids.tolist())
     if cfg.direction == "vertical":
         image = image.T.copy()
@@ -356,7 +354,7 @@ def load_manifest(path, vocab: Vocab | None = None) -> list:
         if not img_path.exists():
             raise DataError(f"{path} row {n}: missing image {img_rel}")
         if vocab is not None:
-            bad = next((ch for ch in transcript if ch not in vocab.symbols), None)
+            bad = next((ch for ch in transcript if ch not in vocab.ids), None)
             if bad is not None:
                 raise DataError(f"{path} row {n}: character {bad!r} not in charset")
         samples.append(LineSample(read_image(img_path), transcript, direction))

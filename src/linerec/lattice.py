@@ -1,15 +1,19 @@
 """Alignment semantics and the exact transducer loss.
 
-The label distribution at every lattice node (t, u) lives in a
-(T, U+1, K+1) array of log-probabilities, index 0 of the class axis being
-the blank symbol. A path through the lattice consumes one frame per blank
-(t+1) and emits one label per non-blank (u+1), ends with a blank at
-(T-1, U), and therefore has length T+U. The conditional probability of a
-label sequence is the sum of path probabilities over all such alignments.
-rnnt_alphabeta, the one forward-backward entry point, computes it in O(T*U)
-from one gather of the blank and label transitions, and rnnt_grad turns its
-tables into the loss gradient; both are validated against full enumeration
-(the oracles module), never trusted on their own.
+Every lattice node (t, u) holds a distribution over the K+1 extended labels,
+the softmax of the joint's raw logits, index 0 being the blank symbol. A path
+consumes one frame per blank (t+1) and emits one label per non-blank (u+1),
+ends with a blank at (T-1, U), and therefore has length T+U. The conditional
+probability of a label sequence is the sum of path probabilities over all
+such alignments. The loss reads two transitions per node, blank and y[u+1],
+so one exact path, which keeps no (T, U+1, K+1) array, serves training (per
+block of frames) and loss_and_logit_grad (a whole lattice): node_log_probs
+gathers the two transition tables and each node's normalizer, rnnt_alphabeta
+runs the DP over the tables, rnnt_grad turns it into the gradient at the
+tables, and logit_grad recomputes the softmax and forms the logit gradient as
+softmax * occupancy - gamma directly (Li et al. 2019, arXiv 1909.12415). They
+are validated against full enumeration (the oracles module), never trusted
+on their own.
 
 Both recurrences run as an anti-diagonal wavefront (Graves 2012, arXiv
 1211.3711): the nodes with t+u = n depend only on diagonal n-1, so each
@@ -22,24 +26,27 @@ Indexing is zero-based throughout: t in [0, T), u in [0, U].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
-from .numerics import NEG_INF, log_softmax, log_softmax_backward
+from .numerics import NEG_INF
 
 BLANK = 0
 
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered character inventory; label ids 1..K, blank reserved at 0."""
+    """Ordered character inventory; label ids 1..K, blank reserved at 0.
+    ``ids`` maps each symbol to its label id, built once."""
 
     symbols: tuple[str, ...]
+    ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
+        object.__setattr__(self, "ids", {s: i for i, s in enumerate(self.symbols, start=1)})
+        if len(self.ids) != len(self.symbols):
             raise UsageError("vocab symbols must be distinct")
         for s in self.symbols:
             if len(s) != 1:
@@ -50,9 +57,8 @@ class Vocab:
         return len(self.symbols)
 
     def encode(self, text: str) -> tuple[int, ...]:
-        index = {s: i + 1 for i, s in enumerate(self.symbols)}
         try:
-            return tuple(index[ch] for ch in text)
+            return tuple(self.ids[ch] for ch in text)
         except KeyError as exc:
             raise UsageError(f"character {exc.args[0]!r} not in vocabulary") from None
 
@@ -78,8 +84,8 @@ class AlphaBetaTables:
     alpha: np.ndarray  # (T, U+1)
     beta: np.ndarray  # (T, U+1)
     log_prob: float
-    blank: np.ndarray  # (T, U+1): lattice[t, u, blank]
-    label: np.ndarray  # (T, U): lattice[t, u, y[u+1]]
+    blank: np.ndarray  # (T, U+1): log Pr(blank | t, u)
+    label: np.ndarray  # (T, U): log Pr(y[u+1] | t, u)
 
 
 def _check_labels(lattice: np.ndarray, labels) -> tuple[int, ...]:
@@ -92,6 +98,21 @@ def _check_labels(lattice: np.ndarray, labels) -> tuple[int, ...]:
             f"lattice has {lattice.shape[1]} rows, labels need {len(labels) + 1}"
         )
     return check_label_ids(labels, lattice.shape[2] - 1)
+
+
+def node_log_probs(logits: np.ndarray, labels: np.ndarray):
+    """(blank (n, U+1), label (n, U), peak (n, U+1), log_norm (n, U+1)) of a
+    block of raw logits (n, U+1, K+1) and the checked label ids as an integer
+    array: the log-probs of blank and y[u+1], and each node's max logit and
+    log sum exp(z - max), taken in numerics.log_softmax's operation order."""
+    if not np.all(np.isfinite(logits)):
+        raise UsageError("log_softmax requires finite logits")
+    peak = np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - peak
+    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+    blank = shifted[:, :, BLANK] - log_norm
+    label = shifted[:, np.arange(len(labels)), labels] - log_norm[:, :-1]
+    return blank, label, peak[..., 0], log_norm
 
 
 def _diagonal_transitions(blank: np.ndarray, label: np.ndarray):
@@ -140,9 +161,9 @@ def _beta_diagonals(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
     return beta
 
 
-def rnnt_alphabeta(lattice: np.ndarray, labels) -> AlphaBetaTables:
-    """The forward-backward DP over one gather of the transitions
-    blank(t, u) = lattice[t, u, blank] and label(t, u) = lattice[t, u, y[u+1]].
+def rnnt_alphabeta(blank: np.ndarray, label: np.ndarray) -> AlphaBetaTables:
+    """The forward-backward DP over the transition tables blank(t, u) =
+    log Pr(blank | t, u), (T, U+1), and label(t, u) = log Pr(y[u+1] | t, u), (T, U).
 
     alpha[t, u] is the log-mass of consuming t frames and emitting u labels:
       alpha[0, 0] = 0,
@@ -153,30 +174,28 @@ def rnnt_alphabeta(lattice: np.ndarray, labels) -> AlphaBetaTables:
       beta[T-1, U] = blank(T-1, U),
       beta[t, u] = LSE(beta[t+1, u] + blank(t, u), beta[t, u+1] + label(t, u)).
     """
-    labels = _check_labels(lattice, labels)
-    blank = lattice[:, :, BLANK]
-    label = lattice[:, np.arange(len(labels)), list(labels)]
+    if blank.ndim != 2 or len(blank) < 1 or label.shape != (len(blank), blank.shape[1] - 1):
+        raise UsageError(f"transition tables of shapes {blank.shape} and {label.shape} "
+                         "are not (T, U+1) and (T, U) with T >= 1")
     skewed = _diagonal_transitions(blank, label)
     alpha, log_prob = _alpha_diagonals(*skewed)
-    t_total = lattice.shape[0]
+    t_total = blank.shape[0]
     return AlphaBetaTables(alpha=_unskewed(alpha, t_total),
                            beta=_unskewed(_beta_diagonals(*skewed), t_total),
                            log_prob=log_prob, blank=blank, label=label)
 
 
 def rnnt_grad(tables: AlphaBetaTables):
-    """Gradient of the loss L = -log Pr(y|x) wrt the lattice log-probabilities,
+    """Gradient of the loss L = -log Pr(y|x) wrt the transition log-probs,
     from rnnt_alphabeta's tables, as (grad_blank (T, U+1), grad_label (T, U)):
-    its entries at (t, u, blank) and at (t, u, y[u+1]). Every other class's
-    entry is zero, since no transition uses it; dense_grad scatters the two
-    tables back into the (T, U+1, K+1) form.
+    its entries at blank(t, u) and label(t, u), the only transitions the loss
+    reads; logit_grad chains them to the raw logits.
 
     The posterior mass of each transition is
       gamma(t, u, blank)  = exp(alpha[t,u] + blank(t,u) + beta[t+1,u] - log Pr)
       gamma(t, u, y[u+1]) = exp(alpha[t,u] + label(t,u) + beta[t,u+1] - log Pr)
     (with beta[T, u] read as 0 at u = U and -inf otherwise); the gradient is
-    -gamma. Chaining through log_softmax (numerics.log_softmax_backward)
-    turns this into the raw-logit gradient used for training.
+    -gamma.
     """
     t_total, rows = tables.alpha.shape
     beta_next = np.full((t_total, rows), NEG_INF)
@@ -188,24 +207,30 @@ def rnnt_grad(tables: AlphaBetaTables):
     return grad_blank, grad_label
 
 
-def dense_grad(grad_blank: np.ndarray, grad_label: np.ndarray, labels,
-               num_classes: int) -> np.ndarray:
-    """The (n, U+1, num_classes) gradient holding rnnt_grad's tables, or any
-    block of frames of them, at their classes, and zero elsewhere."""
-    n, rows = grad_blank.shape
-    grad = np.zeros((n, rows, num_classes))
-    grad[:, :, BLANK] = grad_blank
-    grad[:, np.arange(rows - 1), list(labels)] = grad_label
+def logit_grad(logits: np.ndarray, peak: np.ndarray, log_norm: np.ndarray,
+               grad_blank: np.ndarray, grad_label: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The loss gradient at a block of raw logits (n, U+1, K+1) from
+    node_log_probs' peak, log_norm and labels and rnnt_grad's tables for its nodes:
+    softmax(z) * occupancy plus the tables at their classes, the occupancy
+    -(grad_blank + grad_label) being the tables' sum over a node's classes.
+    The softmax is recomputed with log_softmax's operations, so the result is
+    bitwise that of chaining the dense gradient through log_softmax_backward."""
+    occupancy = -grad_blank
+    occupancy[:, :-1] -= grad_label
+    grad = logits - peak[..., None]
+    grad -= log_norm[..., None]
+    np.exp(grad, out=grad)
+    grad *= occupancy[..., None]
+    grad[:, :, BLANK] += grad_blank
+    grad[:, np.arange(len(labels)), labels] += grad_label
     return grad
 
 
 def loss_and_logit_grad(logits: np.ndarray, labels):
-    """(loss, grad): loss = -log Pr(y|x) of raw logits normalized per node, and
-    its gradient wrt ``logits``, the transition posteriors chained back through
-    the softmax. Training chains the same steps inside model.backward_pass."""
-    labels = tuple(labels)
-    lattice = log_softmax(logits)
-    tables = rnnt_alphabeta(lattice, labels)
-    grad = log_softmax_backward(dense_grad(*rnnt_grad(tables), labels, lattice.shape[2]), lattice)
-    return -tables.log_prob, grad
-
+    """(loss, grad): loss = -log Pr(y|x) of raw (T, U+1, K+1) logits normalized
+    per node, and its gradient wrt ``logits``, by training's kernels."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.array(_check_labels(logits, labels), dtype=np.intp)
+    blank, label, peak, log_norm = node_log_probs(logits, labels)
+    tables = rnnt_alphabeta(blank, label)
+    return -tables.log_prob, logit_grad(logits, peak, log_norm, *rnnt_grad(tables), labels)

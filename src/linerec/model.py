@@ -5,12 +5,12 @@ a log-distribution over the extended label set.
 
 Training forward passes cache what the hand-written backward pass reads
 and nothing more (inference keeps none); `backward_pass` consumes the cache
-and the loss gradient at the lattice's log-probability level, as the two
-transition tables of `lattice.rnnt_grad`, and produces gradients for every
-parameter tensor. Both run the joint over cache-sized blocks of frames.
-Label ids are checked once, by `lattice.check_label_ids`.
-Checkpoint serialization lives here too since its payload is exactly the
-parameter buffer.
+and the loss gradient at the two transition tables of `lattice.rnnt_grad`,
+and produces gradients for every parameter tensor. Both run the joint and
+the loss kernels over cache-sized blocks of frames, so no (T, U+1, K+1)
+array outlives its block; the backward recomputes each block. Label ids
+are checked once, by `lattice.check_label_ids`. Checkpoint serialization
+lives here too since its payload is exactly the parameter buffer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConfigSection, UsageError, json_type_ok
-from .lattice import Vocab, check_label_ids, dense_grad
+from .lattice import Vocab, check_label_ids, logit_grad, node_log_probs
 from .numerics import (
     LstmParams,
     affine_backward,
@@ -35,7 +35,7 @@ from .numerics import (
     conv2d,
     conv2d_backward,
     log_softmax,
-    log_softmax_backward,
+    log_softmax_backward,  # not called here; the benchmark's tracer rebinds this name
     lstm_backward_factors,
     lstm_scan_work,
     lstm_step,
@@ -391,10 +391,11 @@ def _conv_block_backward(grad_out: np.ndarray, cache: ConvBlockCache, p: ConvBlo
                          pool, grads: ConvBlockParams, need_grad_x: bool):
     """Adds the block's parameter gradients to ``grads``; returns the gradient
     at its input, or None without need_grad_x."""
-    d_pool = grad_out * (cache.pooled > 0.0)
-    d_norm = maxpool2d_backward(d_pool, cache.argmax, cache.xhat.shape, pool)
+    d_norm = maxpool2d_backward(grad_out * (cache.pooled > 0.0), cache.argmax,
+                                cache.xhat.shape, pool)
     # d_norm is this call's own, for channel_norm_backward consumes it
     d_conv, d_gain, d_shift = channel_norm_backward(d_norm, cache.xhat, cache.inv_std, p.gain)
+    del d_norm  # before the conv's backward, the block's largest temporaries
     grad_x, d_w = conv2d_backward(d_conv, cache.x_in, p.w, need_grad_x=need_grad_x)
     grads.w += d_w
     grads.gain += d_gain
@@ -528,8 +529,10 @@ def joint(f: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
 class ForwardCache:
     visual: VisualCache
     linguistic: LinguisticCache
-    tanh_joint: np.ndarray  # (T, U+1, encoded)
-    lattice: np.ndarray  # (T, U+1, K+1) log-probs
+    feats: np.ndarray  # (T, encoded)
+    ctx: np.ndarray  # (U+1, encoded)
+    peak: np.ndarray  # (T, U+1): each node's max logit
+    log_norm: np.ndarray  # (T, U+1): each node's log sum exp(logit - peak)
 
 
 _BLOCK_ELEMENTS = 2**15  # joint elements per block of frames: 256 KiB of float64
@@ -542,53 +545,59 @@ def _frame_blocks(t_total: int, frame_elements: int):
     return [slice(t, min(t + step, t_total)) for t in range(0, t_total, step)]
 
 
+def _joint_block(feats: np.ndarray, ctx: np.ndarray, params: ModelParams):
+    """(tanh(f + g + b) (n, U+1, E), raw logits (n, U+1, K+1)) of frames (n, E)
+    against every context row (U+1, E): joint's operations before the softmax."""
+    v = np.add(feats[:, None, :], ctx)
+    v += params.joint_bias
+    np.tanh(v, out=v)
+    return v, v @ params.joint_w.T
+
+
 def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
-    """Full forward pass producing the normalized (T, U+1, K+1) lattice and
-    the ForwardCache. The joint runs over blocks of frames (_frame_blocks),
-    each row with the same operations as joint's, so the only (T, U+1, K+1)
-    array made is the lattice itself."""
+    """Full forward pass: the (blank (T, U+1), label (T, U)) transition tables
+    that lattice.rnnt_alphabeta takes, and the ForwardCache. The joint runs
+    over blocks of frames (_frame_blocks), and lattice.node_log_probs
+    normalizes each block and keeps its nodes' normalizers in the cache."""
     feats, vis_cache = visual_encode_cached(image, params, config)
     ctx, lm_cache = linguistic_encode_cached(labels, params, config)
-    t_total, (rows, enc), classes = feats.shape[0], ctx.shape, params.joint_w.shape[0]
-    lattice = np.empty((t_total, rows, classes))
-    v = np.empty((t_total, rows, enc))
+    labels = np.array(lm_cache.ids[1:], dtype=np.intp)
+    t_total, rows, classes = feats.shape[0], ctx.shape[0], params.joint_w.shape[0]
+    blank, label = np.empty((t_total, rows)), np.empty((t_total, rows - 1))
+    peak, log_norm = np.empty((2, t_total, rows))
     for block in _frame_blocks(t_total, rows * classes):
-        vb = v[block]
-        np.add(feats[block, None, :], ctx, out=vb)
-        vb += params.joint_bias
-        np.tanh(vb, out=vb)
-        lattice[block] = log_softmax(vb @ params.joint_w.T)
-    return lattice, ForwardCache(vis_cache, lm_cache, v, lattice)
+        logits = _joint_block(feats[block], ctx, params)[1]
+        blank[block], label[block], peak[block], log_norm[block] = node_log_probs(logits, labels)
+    return (blank, label), ForwardCache(vis_cache, lm_cache, feats, ctx, peak, log_norm)
 
 
 def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
                   config: ModelConfig, grads: ModelParams) -> ModelParams:
-    """Parameter gradients from the loss gradient at the log-probability
-    level, given as lattice.rnnt_grad's (grad_blank (T, U+1), grad_label
-    (T, U)) tables, added into ``grads`` (a zero_grads_shell of ``params``,
-    say), which is returned.
+    """Parameter gradients from lattice.rnnt_grad's (grad_blank (T, U+1),
+    grad_label (T, U)) tables, added into ``grads`` (a zero_grads_shell of
+    ``params``, say), which is returned.
 
-    Over the same blocks of frames as forward_lattice, each block's tables are
-    scattered into a dense block, chained through the per-node softmax and
-    the two joint GEMMs, and split into the joint-bias, visual (sum over u)
+    Over forward_lattice's blocks of frames, each block's joint is recomputed,
+    lattice.logit_grad forms its logit gradient from the cached normalizers,
+    and the two joint GEMMs split it into the joint-bias, visual (sum over u)
     and linguistic (sum over t) gradients.
     """
-    lattice = cache.lattice
-    t_total, rows, classes = lattice.shape
+    t_total, rows = cache.peak.shape
     shapes = tuple(np.shape(g) for g in grad_tables)
     if shapes != ((t_total, rows), (t_total, rows - 1)):
         raise UsageError(f"gradient tables of shapes {shapes} do not match the cached "
-                         f"lattice {lattice.shape}")
-    if cache.tanh_joint.shape[2] != params.joint_w.shape[1]:
+                         f"{t_total} frames and {rows - 1} labels")
+    classes, enc = params.joint_w.shape
+    if cache.feats.shape[1] != enc:
         raise UsageError("cache does not belong to these parameters")
     grad_blank, grad_label = grad_tables
-    labels = cache.linguistic.ids[1:]
-    enc = cache.tanh_joint.shape[2]
+    labels = np.array(cache.linguistic.ids[1:], dtype=np.intp)
     grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
     for block in _frame_blocks(t_total, rows * classes):
-        dense = dense_grad(grad_blank[block], grad_label[block], labels, classes)
-        d_logits = log_softmax_backward(dense, lattice[block]).reshape(-1, classes)
-        v = cache.tanh_joint[block].reshape(-1, enc)
+        v, logits = _joint_block(cache.feats[block], cache.ctx, params)
+        d_logits = logit_grad(logits, cache.peak[block], cache.log_norm[block],
+                              grad_blank[block], grad_label[block], labels).reshape(-1, classes)
+        v = v.reshape(-1, enc)
         grads.joint_w += d_logits.T @ v
         ds = d_logits @ params.joint_w
         ds *= 1.0 - v * v
@@ -596,6 +605,7 @@ def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
         grads.joint_bias += ds.sum(axis=(0, 1))
         grad_feats[block] = ds.sum(axis=1)
         grad_ctx += ds.sum(axis=0)
+    del v, logits, d_logits, ds  # the last block's, before the encoders' backward
     _visual_backward(grad_feats, cache.visual, params, config, grads)
     _linguistic_backward(grad_ctx, cache.linguistic, params, config, grads)
     return grads

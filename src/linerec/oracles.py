@@ -13,7 +13,8 @@ import numpy as np
 
 from .decode import greedy_decode
 from .errors import UsageError
-from .lattice import BLANK, _check_labels, loss_and_logit_grad, rnnt_alphabeta, rnnt_grad
+from .lattice import (BLANK, _check_labels, loss_and_logit_grad, node_log_probs, rnnt_alphabeta,
+                      rnnt_grad)
 from .model import ModelConfig, init_params, visual_encode
 from .numerics import log_softmax, logsumexp
 
@@ -87,8 +88,6 @@ def random_lattice(rng: np.random.Generator, t: int, u: int, k: int) -> np.ndarr
     return log_softmax(rng.normal(size=(t, u + 1, k + 1)))
 
 
-
-
 def fd_grad(f, x, h=1e-5):
     """Central-difference gradient of scalar f at x, one coordinate at a time."""
     x = np.array(x, dtype=np.float64)
@@ -119,9 +118,9 @@ def tiny_model_config(**overrides) -> ModelConfig:
 
 
 def _draw(rng, t: int, u: int, k: int):
-    """Raw (T, U+1, K+1) logits, then U labels in [1, K]."""
+    """Raw (T, U+1, K+1) logits, then U labels in [1, K] as an index array."""
     logits = rng.normal(size=(t, u + 1, k + 1))
-    return logits, tuple(int(x) for x in rng.integers(1, k + 1, size=u))
+    return logits, rng.integers(1, k + 1, size=u).astype(np.intp)
 
 
 def loss_vs_enumeration(rng, cases) -> float:
@@ -129,9 +128,8 @@ def loss_vs_enumeration(rng, cases) -> float:
     worst = 0.0
     for t, u, k in cases:
         logits, labels = _draw(rng, t, u, k)
-        lattice = log_softmax(logits)
-        log_prob = rnnt_alphabeta(lattice, labels).log_prob
-        worst = max(worst, abs(log_prob - rnnt_loss_brute(lattice, labels)))
+        log_prob = rnnt_alphabeta(*node_log_probs(logits, labels)[:2]).log_prob
+        worst = max(worst, abs(log_prob - rnnt_loss_brute(log_softmax(logits), labels)))
     return worst
 
 
@@ -152,8 +150,7 @@ def antidiagonal_mass_error(rng, cases) -> float:
     worst = 0.0
     for t, u, k in cases:
         logits, labels = _draw(rng, t, u, k)
-        lattice = log_softmax(logits)
-        grad_blank, grad_label = rnnt_grad(rnnt_alphabeta(lattice, labels))
+        grad_blank, grad_label = rnnt_grad(rnnt_alphabeta(*node_log_probs(logits, labels)[:2]))
         gamma = -grad_blank
         gamma[:, :-1] -= grad_label  # gamma[t, u]: the posterior mass leaving node (t, u)
         for n in range(t + u):

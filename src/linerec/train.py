@@ -212,8 +212,8 @@ def _augment_seed(base_seed: int, epoch: int, index: int) -> int:
 def _example_loss_grads(sample, labels, params, model_cfg, inv_batch, grads):
     """(loss, grads) of one example, its gradient scaled by inv_batch and added
     into ``grads``."""
-    lattice, cache = forward_lattice(sample.image, labels, params, model_cfg)
-    tables = rnnt_alphabeta(lattice, labels)
+    (blank, label), cache = forward_lattice(sample.image, labels, params, model_cfg)
+    tables = rnnt_alphabeta(blank, label)
     grad_blank, grad_label = rnnt_grad(tables)
     return -tables.log_prob, backward_pass((grad_blank * inv_batch, grad_label * inv_batch),
                                            cache, params, model_cfg, grads)

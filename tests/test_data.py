@@ -111,6 +111,41 @@ def test_class_frequencies_match_multinomial_within_three_sigma():
     assert np.all(np.abs(counts - total * p) <= 3 * sigma)
 
 
+def _render_reference(cfg, seed):
+    """Glyph by glyph: each cell upscaled on its own and merged into the
+    canvas with np.maximum, the same draws in the same order."""
+    rng = np.random.default_rng(seed)
+    masks = dt.glyph_masks(cfg.charset_size)
+    length = int(rng.integers(cfg.length_min, cfg.length_max + 1))
+    ids = rng.integers(1, cfg.charset_size + 1, size=length)
+    cell, height = cfg.cell, cfg.canvas_height
+    gaps = rng.integers(0, max(1, cell // 4) + 1, size=length + 1)
+    offsets = rng.integers(0, height - cell + 1, size=length)
+    image = np.zeros((height, int(np.sum(gaps)) + length * cell))
+    idx = (np.arange(cell) * dt.GLYPH_GRID) // cell
+    x = int(gaps[0])
+    for i, class_id in enumerate(ids):
+        glyph = masks[class_id - 1][np.ix_(idx, idx)].astype(np.float64)
+        y = int(offsets[i])
+        image[y : y + cell, x : x + cell] = np.maximum(image[y : y + cell, x : x + cell], glyph)
+        x += cell + int(gaps[i + 1])
+    transcript = dt.synth_charset(cfg.charset_size).decode(ids.tolist())
+    return image.T.copy() if cfg.direction == "vertical" else image, transcript
+
+
+@pytest.mark.parametrize("direction", dt.DIRECTIONS)
+@pytest.mark.parametrize("k,glyphs,cell", [(12, (1, 8), 16), (80, (50, 70), 16), (8, (2, 5), 10)])
+def test_render_is_bitwise_the_per_glyph_loop(direction, k, glyphs, cell):
+    cfg = dt.SynthConfig(charset_size=k, cell=cell, length_min=glyphs[0],
+                         length_max=glyphs[1], direction=direction)
+    for seed in range(30):
+        sample = dt.render_synthetic_line(cfg, seed)
+        image, transcript = _render_reference(cfg, seed)
+        assert sample.transcript == transcript
+        assert sample.image.shape == image.shape
+        assert sample.image.tobytes() == image.tobytes()
+
+
 def test_make_dataset_uses_xor_derived_seeds():
     cfg = cfg_of()
     ds = dt.make_dataset(cfg, 5, seed=64)

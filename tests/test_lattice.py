@@ -6,8 +6,10 @@ import pytest
 from linerec import lattice as lt
 from linerec import model as md
 from linerec import oracles
+from linerec.data import synth_charset
 from linerec.errors import UsageError
-from linerec.numerics import log_softmax, log_softmax_backward
+from linerec.numerics import log_softmax
+from test_model import dense_logit_grad, transitions
 
 # The worked two-symbol example: vocab (B, E), so B=1, E=2, blank=0.
 B, E = 1, 2
@@ -32,6 +34,14 @@ def test_vocab_encode_decode_roundtrip():
     assert v.decode((3, 1, 2)) == "cab"
 
 
+def test_vocab_round_trips_a_wide_charset():
+    vocab = synth_charset(4000)
+    ids = tuple(int(i) for i in np.random.default_rng(5).integers(1, 4001, size=60))
+    text = vocab.decode(ids)
+    assert len(text) == 60 and vocab.encode(text) == ids
+    assert vocab.ids == {s: i for i, s in enumerate(vocab.symbols, start=1)}
+
+
 def test_vocab_rejects_duplicates_and_unknown():
     with pytest.raises(UsageError):
         lt.Vocab(("a", "a"))
@@ -47,7 +57,7 @@ def test_every_label_consumer_rejects_ids_that_are_not_integers_in_range(bad):
     params = md.init_params(cfg, seed=0)
     consumers = (lambda ids: lt.check_label_ids(ids, 3),
                  lambda ids: lt.Vocab(("a", "b", "c")).decode(ids),
-                 lambda ids: lt.rnnt_alphabeta(uniform_lattice(2, 2, 3), ids),
+                 lambda ids: lt.loss_and_logit_grad(np.zeros((2, 3, 4)), ids),
                  lambda ids: md.linguistic_encode_cached(ids, params, cfg))
     for consume in consumers:
         consume((1, 3))
@@ -182,7 +192,7 @@ def test_brute_uniform_lattice_closed_form():
 def test_forward_unique_path_t1_u1():
     rng = np.random.default_rng(47)
     lat = oracles.random_lattice(rng, 1, 1, 4)
-    log_prob = lt.rnnt_alphabeta(lat, (3,)).log_prob
+    log_prob = lt.rnnt_alphabeta(*transitions(lat, (3,))).log_prob
     assert log_prob == pytest.approx(lat[0, 0, 3] + lat[0, 1, 0], abs=1e-12)
 
 
@@ -198,7 +208,7 @@ def test_loss_nonnegative_on_normalized_lattices():
         t, u = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
         lat = oracles.random_lattice(rng, t, u, 3)
-        assert -lt.rnnt_alphabeta(lat, labels).log_prob >= 0.0
+        assert -lt.rnnt_alphabeta(*transitions(lat, labels)).log_prob >= 0.0
 
 
 def test_backward_agrees_with_forward():
@@ -207,14 +217,15 @@ def test_backward_agrees_with_forward():
         t, u = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         labels = tuple(int(x) for x in rng.integers(1, 4, size=u))
         lat = oracles.random_lattice(rng, t, u, 3)
-        tables = lt.rnnt_alphabeta(lat, labels)
+        tables = lt.rnnt_alphabeta(*transitions(lat, labels))
         assert abs(tables.beta[0, 0] - tables.log_prob) < 1e-10
 
 
 def test_backward_terminal_blank():
     rng = np.random.default_rng(61)
     lat = oracles.random_lattice(rng, 1, 0, 3)
-    assert lt.rnnt_alphabeta(lat, ()).beta[0, 0] == pytest.approx(lat[0, 0, 0], abs=1e-12)
+    beta = lt.rnnt_alphabeta(*transitions(lat, ())).beta
+    assert beta[0, 0] == pytest.approx(lat[0, 0, 0], abs=1e-12)
 
 
 def scalar_alpha_beta(lat, labels):
@@ -253,7 +264,7 @@ def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
     lat = oracles.random_lattice(rng, t, u, k)
     labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
     alpha, beta, log_prob = scalar_alpha_beta(lat, labels)
-    tables = lt.rnnt_alphabeta(lat, labels)
+    tables = lt.rnnt_alphabeta(*transitions(lat, labels))
     assert np.array_equal(tables.alpha, alpha)
     assert np.array_equal(tables.beta, beta)
     assert tables.log_prob == log_prob
@@ -262,16 +273,29 @@ def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
 # --- gradients -----------------------------------------------------------------------------
 
 
+def test_rnnt_alphabeta_rejects_tables_that_do_not_fit_together():
+    for blank, label in (((2, 3), (2, 3)), ((2, 3), (3, 2)), ((0, 1), (0, 0)), ((3,), (3,)),
+                         ((2, 0), (2, 0))):
+        with pytest.raises(UsageError):
+            lt.rnnt_alphabeta(np.zeros(blank), np.zeros(label))
+
+
 def test_grad_zero_for_unused_classes():
+    """At a class no transition uses, the logit gradient is the softmax part
+    alone: softmax(z) times the node's occupancy, the posterior mass leaving it."""
     rng = np.random.default_rng(67)
     labels = (2, 1)
-    lat = oracles.random_lattice(rng, 3, 2, 4)
-    grad = lt.dense_grad(*lt.rnnt_grad(lt.rnnt_alphabeta(lat, labels)), labels, 5)
+    logits = rng.normal(size=(3, 3, 5))
+    _, grad = lt.loss_and_logit_grad(logits, labels)
+    lat = log_softmax(logits)
+    grad_blank, grad_label = lt.rnnt_grad(lt.rnnt_alphabeta(*transitions(lat, labels)))
+    occupancy = -grad_blank
+    occupancy[:, :-1] -= grad_label
     for u in range(3):
         used = {0, labels[u]} if u < 2 else {0}
-        for k in range(5):
-            if k not in used:
-                assert np.all(grad[:, u, k] == 0.0)
+        for k in set(range(5)) - used:
+            assert np.allclose(grad[:, u, k], np.exp(lat[:, u, k]) * occupancy[:, u],
+                               rtol=1e-14, atol=0.0)
 
 
 def test_gamma_mass_conserved_per_antidiagonal():
@@ -285,12 +309,15 @@ def test_logit_gradient_matches_fd():
 
 
 def test_logprob_level_grad_chains_to_logit_grad():
-    # the two public gradient surfaces must be consistent with each other
+    """loss_and_logit_grad is bitwise the dense chain: rnnt_grad's tables
+    scattered into a dense gradient, then log_softmax_backward; U = 0, T = 1
+    and K up to several hundred included."""
     rng = np.random.default_rng(79)
-    labels = (1,)
-    logits = rng.normal(size=(2, 2, 3))
-    lat = log_softmax(logits)
-    tables = lt.rnnt_alphabeta(lat, labels)
-    chained = log_softmax_backward(lt.dense_grad(*lt.rnnt_grad(tables), labels, 3), lat)
-    _, direct = lt.loss_and_logit_grad(logits, labels)
-    assert np.allclose(chained, direct, atol=1e-14)
+    for t, u, k in ((2, 1, 2), (1, 0, 1), (1, 3, 7), (5, 0, 300), (4, 6, 450)):
+        labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
+        logits = 3.0 * rng.normal(size=(t, u + 1, k + 1))
+        lat = log_softmax(logits)
+        tables = lt.rnnt_alphabeta(*transitions(lat, labels))
+        loss, direct = lt.loss_and_logit_grad(logits, labels)
+        assert loss == -tables.log_prob
+        assert np.array_equal(direct, dense_logit_grad(lat, lt.rnnt_grad(tables), labels))
