@@ -34,7 +34,7 @@ from .data import (
     write_manifest,
 )
 from .decode import DecodeConfig, decode_image
-from .errors import ConfigError, ConfigSection, DataError, TrainingError, UsageError
+from .errors import ConfigError, ConfigSection, DataError, TrainingError, UsageError, check_same
 from .lattice import loss_and_logit_grad
 from .model import ModelConfig, load_checkpoint
 from .train import TrainConfig, evaluate_cer, train_run
@@ -89,8 +89,6 @@ def load_run_config(path=None) -> RunConfig:
     raw = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise DataError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
@@ -135,66 +133,44 @@ def _require(value, what: str):
     return value
 
 
-def _load_vocab_checked(charset_path, model_cfg: ModelConfig):
-    vocab = load_charset(charset_path)
-    if vocab.size != model_cfg.vocab_size:
-        raise ConfigError(
-            f"charset {charset_path} has {vocab.size} symbols but the model "
-            f"expects {model_cfg.vocab_size}"
-        )
-    return vocab
-
-
 def cmd_train(cfg: RunConfig, seed, out_dir) -> int:
     train_cfg = cfg.train
     if seed is not None:
         train_cfg.seed = seed
     if out_dir is not None:
         train_cfg.checkpoint_dir = out_dir
-    manifest = Path(_require(cfg.paths.manifest, "paths.manifest"))
-    val_manifest = Path(_require(cfg.paths.val_manifest, "paths.val_manifest"))
-    charset = Path(_require(cfg.paths.charset, "paths.charset"))
-    for p in (manifest, val_manifest, charset):
-        if not p.exists():
-            raise DataError(f"missing input file: {p}")
-    vocab = _load_vocab_checked(charset, cfg.model)
+    manifest = _require(cfg.paths.manifest, "paths.manifest")
+    val_manifest = _require(cfg.paths.val_manifest, "paths.val_manifest")
+    charset = _require(cfg.paths.charset, "paths.charset")
+    vocab = load_charset(charset)
+    cfg.model.check_vocab(vocab, f"charset {charset}")
     train_samples = load_manifest(manifest, vocab)
     val_samples = load_manifest(val_manifest, vocab)
     result = train_run(
         cfg.model, train_cfg, cfg.data, vocab, train_samples, val_samples,
         progress=lambda m: print(f"epoch {m.epoch}: loss {m.mean_train_loss:.4f} "
                                  f"val_cer {m.val_cer:.4f} lr {m.lr:.6f}"),
+        decode_cfg=cfg.decode,
     )
     print(f"best epoch {result.best_epoch} with validation CER "
           f"{result.best_val_cer * 100:.2f}%; checkpoints in {train_cfg.checkpoint_dir}")
     return 0
 
 
-def _charset_consistency(vocab_config, vocab_ckpt, where: str):
-    if vocab_config.symbols == vocab_ckpt.symbols:
-        return
-    for i, (a, b) in enumerate(zip(vocab_config.symbols, vocab_ckpt.symbols)):
-        if a != b:
-            raise ConfigError(
-                f"charset mismatch at id {i + 1}: configured charset has {a!r}, "
-                f"{where} has {b!r}"
-            )
-    raise ConfigError(
-        f"charset length mismatch: configured charset has "
-        f"{len(vocab_config.symbols)} symbols, {where} has {len(vocab_ckpt.symbols)}"
-    )
+def _load_model(cfg: RunConfig, checkpoint):
+    """The checkpoint's (config, vocab, params); its charset must be the configured one."""
+    model_cfg, vocab, params = load_checkpoint(
+        _require(checkpoint or cfg.paths.checkpoint, "checkpoint"))
+    if cfg.paths.charset is not None:
+        check_same(load_charset(cfg.paths.charset).symbols, vocab.symbols,
+                   f"charset {cfg.paths.charset} differs from the checkpoint's")
+    return model_cfg, vocab, params
 
 
 def cmd_eval(cfg: RunConfig, checkpoint, manifest) -> int:
-    ckpt_path = Path(_require(checkpoint or cfg.paths.checkpoint, "checkpoint"))
-    manifest_path = Path(_require(
-        manifest or cfg.paths.val_manifest or cfg.paths.manifest, "manifest"))
-    for p in (ckpt_path, manifest_path):
-        if not p.exists():
-            raise DataError(f"missing input file: {p}")
-    model_cfg, vocab, params = load_checkpoint(ckpt_path)
-    if cfg.paths.charset is not None:
-        _charset_consistency(load_charset(cfg.paths.charset), vocab, "the checkpoint")
+    manifest_path = _require(manifest or cfg.paths.val_manifest or cfg.paths.manifest,
+                             "manifest")
+    model_cfg, vocab, params = _load_model(cfg, checkpoint)
     samples = load_manifest(manifest_path, vocab)
     rate = evaluate_cer(params, model_cfg, vocab, samples, cfg.decode)
     print(f"CER: {rate * 100:.2f}%")
@@ -202,16 +178,11 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest) -> int:
 
 
 def cmd_decode(cfg: RunConfig, checkpoint, images, direction: str) -> int:
-    ckpt_path = Path(_require(checkpoint or cfg.paths.checkpoint, "checkpoint"))
-    if not ckpt_path.exists():
-        raise DataError(f"missing checkpoint: {ckpt_path}")
     paths = [Path(p) for p in images]
-    for p in paths:
+    for p in paths:  # up front, so a missing image prints no transcript
         if not p.exists():
             raise DataError(f"missing image: {p}")
-    model_cfg, vocab, params = load_checkpoint(ckpt_path)
-    if cfg.paths.charset is not None:
-        _charset_consistency(load_charset(cfg.paths.charset), vocab, "the checkpoint")
+    model_cfg, vocab, params = _load_model(cfg, checkpoint)
     for p in paths:
         sample = LineSample(read_image(p), "", direction)
         canon = preprocess(sample, model_cfg.input_height)

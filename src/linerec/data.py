@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ConfigSection, DataError
+from .errors import ConfigError, ConfigSection, DataError, UsageError
 from .lattice import Vocab
 
 DIRECTIONS = ("horizontal", "vertical")
@@ -305,17 +305,10 @@ def load_charset(path) -> Vocab:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    symbols = text.splitlines()
-    if not symbols:
-        raise DataError(f"{path}: empty charset")
-    seen = set()
-    for n, s in enumerate(symbols, start=1):
-        if len(s) != 1:
-            raise DataError(f"{path} line {n}: expected one codepoint, got {s!r}")
-        if s in seen:
-            raise DataError(f"{path} line {n}: duplicate codepoint {s!r}")
-        seen.add(s)
-    return Vocab(tuple(symbols))
+    try:  # symbol n is line n
+        return Vocab(tuple(text.splitlines()))
+    except UsageError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_manifest(path, samples) -> None:

@@ -83,9 +83,6 @@ def decode_image(image, vocab: Vocab, params: ModelParams, config: ModelConfig,
                  decode_config: DecodeConfig | None = None) -> str:
     """Image -> transcript, composing the visual encoder, the greedy search,
     and charset detokenization."""
-    if vocab.size != config.vocab_size:
-        raise ConfigError(
-            f"charset has {vocab.size} symbols but the model expects {config.vocab_size}"
-        )
+    config.check_vocab(vocab, "the charset")
     feats = visual_encode(image, params, config)
     return vocab.decode(greedy_decode(feats, params, config, decode_config))

@@ -36,6 +36,16 @@ def json_type_ok(kind, value) -> bool:
     return isinstance(value, kind)
 
 
+def check_same(got, want, what: str) -> None:
+    """A ConfigError '{what} at entry i: a instead of b' for the first entry
+    (1-based) where the sequences differ, else one naming unequal lengths."""
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    if i is not None:
+        raise ConfigError(f"{what} at entry {i + 1}: {got[i]!r} instead of {want[i]!r}")
+    if len(got) != len(want):
+        raise ConfigError(f"{what}: {len(got)} entries instead of {len(want)}")
+
+
 class ConfigSection:
     """Base of the config dataclasses, each parsed from one JSON object."""
 

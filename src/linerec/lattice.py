@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .numerics import NEG_INF
+from .numerics import NEG_INF, log_normalizer
 
 BLANK = 0
 
@@ -39,18 +39,22 @@ BLANK = 0
 @dataclass(frozen=True)
 class Vocab:
     """Ordered character inventory; label ids 1..K, blank reserved at 0.
-    ``ids`` maps each symbol to its label id, built once."""
+    ``ids`` maps each symbol to its label id, built once. It holds the
+    charset rules: one or more symbols, each a distinct codepoint."""
 
     symbols: tuple[str, ...]
     ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", {s: i for i, s in enumerate(self.symbols, start=1)})
-        if len(self.ids) != len(self.symbols):
-            raise UsageError("vocab symbols must be distinct")
-        for s in self.symbols:
-            if len(s) != 1:
-                raise UsageError(f"vocab symbol {s!r} is not a single codepoint")
+        object.__setattr__(self, "ids", {})
+        if not self.symbols:
+            raise UsageError("empty charset")
+        for n, s in enumerate(self.symbols, start=1):
+            if not isinstance(s, str) or len(s) != 1:
+                raise UsageError(f"charset symbol {n}: expected one codepoint, got {s!r}")
+            if s in self.ids:
+                raise UsageError(f"charset symbol {n}: duplicate codepoint {s!r}")
+            self.ids[s] = n
 
     @property
     def size(self) -> int:
@@ -104,15 +108,11 @@ def node_log_probs(logits: np.ndarray, labels: np.ndarray):
     """(blank (n, U+1), label (n, U), peak (n, U+1), log_norm (n, U+1)) of a
     block of raw logits (n, U+1, K+1) and the checked label ids as an integer
     array: the log-probs of blank and y[u+1], and each node's max logit and
-    log sum exp(z - max), taken in numerics.log_softmax's operation order."""
-    if not np.all(np.isfinite(logits)):
-        raise UsageError("log_softmax requires finite logits")
-    peak = np.max(logits, axis=-1, keepdims=True)
-    shifted = logits - peak
-    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+    log sum exp(z - max), from numerics.log_normalizer."""
+    peak, shifted, log_norm = log_normalizer(logits)
     blank = shifted[:, :, BLANK] - log_norm
     label = shifted[:, np.arange(len(labels)), labels] - log_norm[:, :-1]
-    return blank, label, peak[..., 0], log_norm
+    return blank, label, peak, log_norm
 
 
 def _diagonal_transitions(blank: np.ndarray, label: np.ndarray):

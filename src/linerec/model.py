@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConfigSection, UsageError, json_type_ok
+from .errors import ConfigError, ConfigSection, UsageError, check_same, json_type_ok
 from .lattice import Vocab, check_label_ids, logit_grad, node_log_probs
 from .numerics import (
     LstmParams,
@@ -110,6 +110,12 @@ class ModelConfig(ConfigSection):
                 f"conv stack leaves height {h}, must collapse input_height="
                 f"{self.input_height} to exactly 1"
             )
+
+    def check_vocab(self, vocab: Vocab, where: str) -> None:
+        """A ConfigError unless the charset ``vocab``, from ``where``, fits the model."""
+        if vocab.size != self.vocab_size:
+            raise ConfigError(f"{where} has {vocab.size} symbols but the model expects "
+                              f"{self.vocab_size}")
 
     def frames_for_width(self, width: int) -> int:
         t = width
@@ -473,11 +479,6 @@ def linguistic_encode_cached(labels, params: ModelParams, config: ModelConfig):
     return ctx, LinguisticCache(ids, runs)
 
 
-def linguistic_encode(labels, params, config) -> np.ndarray:
-    ctx, _ = linguistic_encode_cached(labels, params, config)
-    return ctx
-
-
 def _linguistic_backward(grad_ctx: np.ndarray, cache: LinguisticCache,
                          params: ModelParams, config: ModelConfig, grads: ModelParams):
     grad_seq, gw, gb = affine_backward(grad_ctx, cache.runs[-1].out, params.lm_proj.w)
@@ -494,7 +495,7 @@ def linguistic_step(prev_label: int, states, params: ModelParams, config: ModelC
     ``states`` holds one (2, H) state, rows h and c, per layer (see
     linguistic_start_states); returns (context row, new states) and never
     mutates the input states. Composing steps over (blank, y1, ..., yU)
-    reproduces linguistic_encode row for row.
+    reproduces the context rows of linguistic_encode_cached, row for row.
     """
     if not 0 <= prev_label <= config.vocab_size:
         raise UsageError(f"label id {prev_label} outside [0, {config.vocab_size}]")
@@ -690,22 +691,16 @@ def load_checkpoint(path):
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
         config = ModelConfig.from_dict(header["config"])
         charset = header["charset"]
-        if not isinstance(charset, list) or not all(isinstance(c, str) for c in charset):
+        if not isinstance(charset, list):
             raise ConfigError(f"{path}: charset must be a JSON list of strings")
         vocab = Vocab(tuple(charset))
         tensors = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
     except (ValueError, LookupError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed header: {exc}") from None
-    if vocab.size != config.vocab_size:
-        raise ConfigError(
-            f"{path}: charset has {vocab.size} symbols, config says {config.vocab_size}"
-        )
+    config.check_vocab(vocab, f"{path}: the charset")
     layout = tensor_shapes(config)  # both checks come before any allocation
     stored = layout if version == CHECKPOINT_VERSION else _v1_tensors(layout)
-    if tensors != stored:
-        got, want = next(((t, e) for t, e in zip(tensors, stored) if t != e),
-                         (f"{len(tensors)} tensors", len(stored)))
-        raise ConfigError(f"{path}: header tensors differ from the model's: {got} instead of {want}")
+    check_same(tensors, stored, f"{path}: header tensors differ from the model's")
     sizes = [math.prod(shape) for _, shape in stored]
     payload, needed = len(blob) - 16 - header_len, 8 * sum(sizes)
     if payload != needed:

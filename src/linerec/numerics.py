@@ -44,13 +44,21 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-domain softmax: shift-invariant, output exponentials sum to 1."""
+def log_normalizer(logits):
+    """(max z, z - max z, log sum exp(z - max z)) over the last axis of finite
+    logits z: the softmax normalisation of log_softmax and of the loss."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise UsageError("log_softmax requires finite logits")
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    peak = np.max(z, axis=-1, keepdims=True)
+    shifted = z - peak
+    return peak[..., 0], shifted, np.log(np.sum(np.exp(shifted), axis=-1))
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-domain softmax: shift-invariant, output exponentials sum to 1."""
+    _, shifted, log_norm = log_normalizer(logits)
+    return shifted - log_norm[..., None]
 
 
 def log_softmax_backward(grad_out: np.ndarray, log_probs: np.ndarray) -> np.ndarray:

@@ -113,10 +113,13 @@ def adam_step(params: ModelParams, grads: ModelParams, opt: OptState, lr: float,
     fed through bias-corrected Adam. The update runs in place through
     ``opt.work``, so a step allocates no parameter-sized temporaries.
     """
-    norm = math.sqrt(float(grads.flat @ grads.flat))
-    if not math.isfinite(norm):
+    with np.errstate(over="ignore"):  # an overflow is reported below, by tensor
+        norm = math.sqrt(float(grads.flat @ grads.flat))
+    if not math.isfinite(norm):  # a non-finite entry, or finite ones whose squares overflow
         bad = [n for n, g in named_arrays(grads) if not np.all(np.isfinite(g))]
-        raise TrainingError(f"non-finite gradient in {bad}")
+        top = max(named_arrays(grads), key=lambda item: np.abs(item[1]).max())[0]
+        raise TrainingError(f"non-finite gradient in {bad}" if bad else
+                            f"gradient norm overflows; the largest |g| is in {top}")
     scale = clip_norm / norm if clip_norm > 0 and norm > clip_norm else 1.0
     opt.step += 1
     correct1 = 1.0 - ADAM_BETA1**opt.step
@@ -221,20 +224,18 @@ def _example_loss_grads(sample, labels, params, model_cfg, inv_batch, grads):
 
 def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthConfig,
               vocab: Vocab, train_samples, val_samples, *, clock=time.monotonic,
-              progress=None) -> TrainResult:
+              progress=None, decode_cfg: DecodeConfig | None = None) -> TrainResult:
     """Full training run over pre-split data; returns the result summary and
     leaves per-epoch checkpoints, a `best.ckpt` alias, and `metrics.tsv`
-    under train_cfg.checkpoint_dir.
+    under train_cfg.checkpoint_dir. Validation decodes with ``decode_cfg``
+    (None: DecodeConfig()), the search that later evaluates the checkpoints.
 
     ``clock`` exists so reproducibility checks can pin the wall_seconds
     column; everything else is a pure function of configs, data, and seed.
     """
     model_cfg.validate()
     train_cfg.validate()
-    if vocab.size != model_cfg.vocab_size:
-        raise ConfigError(
-            f"charset has {vocab.size} symbols but the model expects {model_cfg.vocab_size}"
-        )
+    model_cfg.check_vocab(vocab, "the charset")
     if not train_samples:
         raise ConfigError("no training samples")
     if not val_samples:
@@ -293,7 +294,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
                 adam_step(params, batch_grads, opt, lr, clip_norm=train_cfg.grad_clip_norm)
                 global_step += 1
 
-            val = evaluate_cer(params, model_cfg, vocab, canon_val)
+            val = evaluate_cer(params, model_cfg, vocab, canon_val, decode_cfg)
             entry = EpochMetrics(epoch, float(np.mean(losses)), val, lr, clock() - t0)
             metrics.append(entry)
             log.write(entry.row() + "\n")

@@ -226,6 +226,29 @@ def pipeline(tmp_path_factory):
     return cfg_path, data, run
 
 
+def test_train_validates_with_the_configured_decode_section(pipeline, tmp_path, monkeypatch):
+    """best.ckpt is chosen by the search that `linerec eval` scores it with."""
+    import linerec.train
+    from linerec.decode import DecodeConfig
+
+    cfg_path, _, _ = pipeline
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["train"]["checkpoint_dir"] = str(tmp_path / "run")
+    doc["decode"] = {"mode": "multi_emit", "max_symbols_per_frame": 2}
+    config = tmp_path / "multi.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    seen, decode_image = [], linerec.train.decode_image
+
+    def recording(image, vocab, params, model_cfg, decode_cfg=None):
+        seen.append(decode_cfg)
+        return decode_image(image, vocab, params, model_cfg, decode_cfg)
+
+    monkeypatch.setattr(linerec.train, "decode_image", recording)
+    assert main(["--config", str(config), "train"]) == 0
+    assert len(seen) == 3  # the three validation lines, one epoch
+    assert all(c == DecodeConfig("multi_emit", 2) for c in seen), seen
+
+
 def test_train_writes_checkpoints_and_metrics(pipeline):
     _, _, run = pipeline
     assert (run / "best.ckpt").exists()
@@ -286,11 +309,45 @@ def test_eval_prints_exactly_zero_for_perfect_hypotheses(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "CER: 0.00%"
 
 
-def test_decode_missing_image_exits_2(pipeline):
-    cfg_path, _, run = pipeline
+def test_decode_missing_image_exits_2(pipeline, capsys):
+    cfg_path, data, run = pipeline
+    first, last = [str(p) for p in sorted((data / "train_images").glob("*.pgm"))[:2]]
+    capsys.readouterr()
     rc = main(["--config", str(cfg_path), "decode",
-               "--checkpoint", str(run / "best.ckpt"), "/no/such.pgm"])
+               "--checkpoint", str(run / "best.ckpt"), first, "/no/such.pgm", last])
     assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "/no/such.pgm" in err, (out, err)
+
+
+MISSING_INPUTS = [  # (command, the paths key set to a missing file or a directory)
+    ("train", "manifest"), ("train", "val_manifest"), ("train", "charset"),
+    ("eval", "checkpoint"), ("eval", "val_manifest"), ("eval", "charset"),
+    ("decode", "checkpoint"), ("decode", "charset"),
+    ("eval", "directory_as_checkpoint"), ("decode", "directory_as_checkpoint"),
+]
+
+
+@pytest.mark.parametrize("command,key", MISSING_INPUTS)
+def test_a_missing_input_file_exits_2_with_one_line(pipeline, tmp_path, capsys, command, key):
+    """The loaders end a missing file with exit 2 and one stderr line, and
+    nothing reaches stdout first."""
+    cfg_path, data, run = pipeline
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["train"]["checkpoint_dir"] = str(tmp_path / "run")
+    doc["paths"]["checkpoint"] = str(run / "best.ckpt")
+    absent = tmp_path / "absent"
+    if key == "directory_as_checkpoint":
+        absent.mkdir()
+        key = "checkpoint"
+    doc["paths"][key] = str(absent)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    images = [str(next((data / "train_images").glob("*.pgm")))] if command == "decode" else []
+    capsys.readouterr()
+    assert main(["--config", str(config), command] + images) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(absent) in err, (out, err)
 
 
 def test_eval_charset_mismatch_exits_3(pipeline, tmp_path, capsys):
@@ -306,7 +363,8 @@ def test_eval_charset_mismatch_exits_3(pipeline, tmp_path, capsys):
     rc = main(["--config", str(bad_cfg), "eval",
                "--checkpoint", str(run / "best.ckpt")])
     assert rc == 3
-    assert "id 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "wrong.txt" in err and "entry 2" in err and err.count("\n") == 1, err
 
 
 def _rewrite_header(blob: bytes, edit) -> bytes:

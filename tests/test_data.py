@@ -356,10 +356,10 @@ def test_charset_file_roundtrip(tmp_path):
 def test_charset_file_rejects_duplicates_and_multichar(tmp_path):
     path = tmp_path / "charset.txt"
     path.write_text("a\nb\na\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 3"):
+    with pytest.raises(DataError, match="charset.txt: charset symbol 3: duplicate"):
         dt.load_charset(path)
     path.write_text("a\nbc\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 2"):
+    with pytest.raises(DataError, match="charset.txt: charset symbol 2: expected one"):
         dt.load_charset(path)
     path.write_text("", encoding="utf-8")
     with pytest.raises(DataError):

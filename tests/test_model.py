@@ -262,24 +262,24 @@ def test_visual_encode_is_deterministic_without_rng():
 def test_linguistic_encode_shapes():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=3)
-    assert md.linguistic_encode((), params, cfg).shape == (1, cfg.encoded_size)
-    assert md.linguistic_encode((1, 2, 3), params, cfg).shape == (4, cfg.encoded_size)
+    assert md.linguistic_encode_cached((), params, cfg)[0].shape == (1, cfg.encoded_size)
+    assert md.linguistic_encode_cached((1, 2, 3), params, cfg)[0].shape == (4, cfg.encoded_size)
 
 
 def test_linguistic_encode_rejects_blank_and_out_of_range():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=3)
     with pytest.raises(UsageError):
-        md.linguistic_encode((1, 0, 2), params, cfg)
+        md.linguistic_encode_cached((1, 0, 2), params, cfg)
     with pytest.raises(UsageError):
-        md.linguistic_encode((4,), params, cfg)
+        md.linguistic_encode_cached((4,), params, cfg)
 
 
 def test_linguistic_step_matches_batch_encoder():
     cfg = tiny_model_config(recurrent_layers_linguistic=2)
     params = md.init_params(cfg, seed=5)
     labels = (2, 1, 3, 3)
-    full = md.linguistic_encode(labels, params, cfg)
+    full = md.linguistic_encode_cached(labels, params, cfg)[0]
     states = md.linguistic_start_states(cfg)
     rows = []
     for token in (0,) + labels:
@@ -330,7 +330,8 @@ def test_joint_block_is_a_lattice_column():
     image = np.random.default_rng(3).random((4, 9))
     labels = (1, 3)
     (blank, label), _ = md.forward_lattice(image, labels, params, cfg)
-    feats, ctx = md.visual_encode(image, params, cfg), md.linguistic_encode(labels, params, cfg)
+    feats = md.visual_encode(image, params, cfg)
+    ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
     for u in range(3):
         column = md.joint(feats, ctx[u], params)
         assert np.max(np.abs(column[:, BLANK] - blank[:, u])) <= 1e-12
@@ -412,7 +413,8 @@ def test_backward_rejects_mismatched_gradient_shape():
 def unblocked_joint(image, labels, params, cfg):
     """The whole (T, U+1, K+1) lattice and (T, U+1, E) tanh input of the
     joint, made in one piece: (lattice, tanh_joint)."""
-    feats, ctx = md.visual_encode(image, params, cfg), md.linguistic_encode(labels, params, cfg)
+    feats = md.visual_encode(image, params, cfg)
+    ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
     v = np.tanh(feats[:, None, :] + ctx[None, :, :] + params.joint_bias)
     return md.log_softmax(v @ params.joint_w.T), v
 

@@ -168,6 +168,21 @@ def test_adam_rejects_non_finite_gradients():
         tr.adam_step(params, grads, tr.init_opt_state(params), lr=1e-3)
 
 
+def test_adam_names_the_largest_gradient_when_the_norm_overflows():
+    """Every entry finite but the sum of squares beyond the float range: the
+    error says so and names the tensor of the largest |g|, numpy's overflow
+    warning (an error under this suite) stays inside, and nothing moves."""
+    _, params = doll_params()
+    before = params.flat.copy()
+    grads = md.zero_grads_shell(params)
+    grads.flat[:] = 1e200
+    grads.joint_w[1, 2] = -3e200
+    with pytest.raises(TrainingError,
+                       match=r"^gradient norm overflows; the largest \|g\| is in joint.w$"):
+        tr.adam_step(params, grads, tr.init_opt_state(params), lr=1e-3)
+    assert np.array_equal(params.flat, before)
+
+
 # --- character error rate ----------------------------------------------------------
 
 
