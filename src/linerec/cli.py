@@ -178,14 +178,10 @@ def cmd_eval(cfg: RunConfig, checkpoint, manifest) -> int:
 
 
 def cmd_decode(cfg: RunConfig, checkpoint, images, direction: str) -> int:
-    paths = [Path(p) for p in images]
-    for p in paths:  # up front, so a missing image prints no transcript
-        if not p.exists():
-            raise DataError(f"missing image: {p}")
+    pixels = [read_image(p) for p in images]  # up front, so a bad image prints no transcript
     model_cfg, vocab, params = _load_model(cfg, checkpoint)
-    for p in paths:
-        sample = LineSample(read_image(p), "", direction)
-        canon = preprocess(sample, model_cfg.input_height)
+    for image in pixels:
+        canon = preprocess(LineSample(image, "", direction), model_cfg.input_height)
         print(decode_image(canon.image, vocab, params, model_cfg, cfg.decode))
     return 0
 

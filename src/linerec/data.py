@@ -10,6 +10,7 @@ tab-separated manifest, and a one-codepoint-per-line charset file.
 from __future__ import annotations
 
 import functools
+import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,6 +252,10 @@ def write_image(path, image: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+# a PGM header token, or a '#' comment running to the end of its line
+_PGM_HEADER = re.compile(rb"#[^\n]*|(\S+)")
+
+
 def read_image(path) -> np.ndarray:
     try:
         blob = Path(path).read_bytes()
@@ -258,24 +263,15 @@ def read_image(path) -> np.ndarray:
         raise DataError(f"{path}: {exc}") from None
     if not blob.startswith(b"P5"):
         raise DataError(f"{path}: not a binary PGM (P5) file")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # with optional '#' comment lines
-    tokens, pos = [], 2
-    while len(tokens) < 3 and pos < len(blob):
-        ch = blob[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(blob[start:pos])
+    tokens = []  # width, height, maxval after the magic
+    for m in _PGM_HEADER.finditer(blob, 2):
+        if m[1]:
+            tokens.append(m[1])
+            if len(tokens) == 3:
+                break
     if len(tokens) < 3:
         raise DataError(f"{path}: truncated PGM header")
-    pos += 1  # single whitespace byte after maxval
+    pos = m.end() + 1  # single whitespace byte after maxval
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -295,8 +291,6 @@ def _check_one_line(text: str, what: str) -> None:
 
 
 def write_charset(path, vocab: Vocab) -> None:
-    for n, s in enumerate(vocab.symbols, start=1):
-        _check_one_line(s, f"charset symbol {n}")
     Path(path).write_text("".join(s + "\n" for s in vocab.symbols), encoding="utf-8")
 
 

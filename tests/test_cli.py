@@ -320,6 +320,25 @@ def test_decode_missing_image_exits_2(pipeline, capsys):
     assert out == "" and err.count("\n") == 1 and "/no/such.pgm" in err, (out, err)
 
 
+@pytest.mark.parametrize("bad_kind", ["truncated_pgm", "directory"])
+def test_decode_unreadable_third_image_prints_no_transcript(pipeline, tmp_path, capsys,
+                                                            bad_kind):
+    """Every image is read before the first line is decoded."""
+    cfg_path, data, run = pipeline
+    first, second = [str(p) for p in sorted((data / "train_images").glob("*.pgm"))[:2]]
+    bad = tmp_path / "bad.pgm"
+    if bad_kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(Path(first).read_bytes()[:-5])
+    capsys.readouterr()
+    rc = main(["--config", str(cfg_path), "decode",
+               "--checkpoint", str(run / "best.ckpt"), first, second, str(bad)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(bad) in err, (out, err)
+
+
 MISSING_INPUTS = [  # (command, the paths key set to a missing file or a directory)
     ("train", "manifest"), ("train", "val_manifest"), ("train", "charset"),
     ("eval", "checkpoint"), ("eval", "val_manifest"), ("eval", "charset"),
@@ -394,6 +413,8 @@ CORRUPTIONS = {
         blob, lambda h: h["config"].update(layer_norm=True)),
     "config_far_larger_than_the_payload": lambda blob: _rewrite_header(
         blob, lambda h: h["config"].update(hidden_size=1000)),
+    "charset_symbol_a_line_break": lambda blob: _rewrite_header(  # no charset file holds it
+        blob, lambda h: h["charset"].__setitem__(1, "\x1c")),
 }
 
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linerec import data as dt
-from linerec.errors import ConfigError, DataError
+from linerec.errors import ConfigError, DataError, UsageError
 from linerec.lattice import Vocab
 from linerec.oracles import rel_err
 
@@ -325,6 +326,81 @@ def test_pgm_header_comments_are_skipped(tmp_path):
     assert img[1, 2] == pytest.approx(5 / 255)
 
 
+BODY = bytes(range(6))
+PGM_HEADERS = {  # each reads as a 3x2 image of BODY
+    "comment_between_every_pair_of_tokens": b"P5#a\n3 #b\n2\t#c\n#d\n255\n",
+    "carriage_return_and_tab_separators": b"P5\r3\t2\r\n255\t",
+    "comment_holding_tokens": b"P5 # 9 9 255\n3 2 255 ",
+    "comment_running_past_a_carriage_return": b"P5 3 #\r7\n2 255\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PGM_HEADERS))
+def test_pgm_header_edge_cases(tmp_path, name):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(PGM_HEADERS[name] + BODY)
+    assert np.array_equal(dt.read_image(path) * 255, np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"P5 3 2 2#5\n" + BODY, "malformed PGM header"),  # '#' inside a token
+    (b"P5 3 2 255", "PGM body has 0 bytes, expected 6"),  # no byte after maxval
+    (b"P5 3 #2 255\n", "truncated PGM header"),
+])
+def test_pgm_header_errors(tmp_path, blob, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=f"bad.pgm: {message}$"):
+        dt.read_image(path)
+
+
+def _read_pgm_reference(blob: bytes):
+    """The image of a PGM ``blob`` by the byte-by-byte header scan, or None
+    where read_image must raise a DataError."""
+    tokens, pos = [], 2
+    while len(tokens) < 3 and pos < len(blob):
+        ch = blob[pos : pos + 1]
+        if ch == b"#":
+            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
+                pos += 1
+        elif ch.isspace():
+            pos += 1
+        else:
+            start = pos
+            while pos < len(blob) and not blob[pos : pos + 1].isspace():
+                pos += 1
+            tokens.append(blob[start:pos])
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:  # fewer than three tokens, or one not an integer
+        return None
+    body = blob[pos + 1 : pos + 1 + w * h]
+    if w < 1 or h < 1 or not 1 <= maxval <= 255 or len(body) != w * h:
+        return None
+    return np.frombuffer(body, dtype=np.uint8).reshape(h, w) / maxval
+
+
+# header pieces: whitespace and comment runs, and tokens good and bad
+_GAPS = st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#",
+                                  b"#c\n", b" # 9 9\n"]), max_size=2).map(b"".join)
+_TOKENS = st.sampled_from([b"1", b"2", b"3", b"1", b"2", b"3", b"2#", b"x"])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(pieces=st.lists(st.tuples(_GAPS, _TOKENS), min_size=3, max_size=4),
+       last=st.sampled_from([b"", b" ", b"\n", b"\r", b"\t", b"#\n"]))
+def test_pgm_header_scan_matches_the_byte_by_byte_reference(tmp_path_factory, pieces, last):
+    blob = b"P5" + b"".join(g + t for g, t in pieces) + last + bytes(range(1, 13))
+    path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+    path.write_bytes(blob)
+    expected = _read_pgm_reference(blob)
+    if expected is None:
+        with pytest.raises(DataError):
+            dt.read_image(path)
+    else:
+        assert np.array_equal(dt.read_image(path), expected)
+
+
 @pytest.mark.parametrize(
     "blob",
     [
@@ -429,11 +505,13 @@ def test_line_breaks_are_every_character_splitlines_breaks_at():
 
 @pytest.mark.parametrize("ch", LINE_BREAKS)
 def test_writers_reject_every_line_break(tmp_path, ch):
+    """The manifest writer checks each transcript; no charset holding a line
+    break reaches write_charset, because Vocab refuses to build it."""
     bad = dt.LineSample(np.zeros((4, 4)), f"a{ch}b", "horizontal")
     with pytest.raises(DataError, match="sample 0: transcript"):
         dt.write_manifest(tmp_path / "m.tsv", [bad])
-    with pytest.raises(DataError, match="charset symbol 2"):
-        dt.write_charset(tmp_path / "charset.txt", Vocab(("a", ch, "b")))
+    with pytest.raises(UsageError, match="^charset symbol 2: .* is a line break$"):
+        Vocab(("a", ch, "b"))
 
 
 def test_cjk_and_punctuation_round_trip(tmp_path):

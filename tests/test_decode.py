@@ -123,6 +123,19 @@ def test_blank_wins_exact_ties(monkeypatch):
     assert dc.greedy_decode(frames(3), None, None) == ()
 
 
+@pytest.mark.parametrize("label_logit,emitted", [(np.nextafter(0.7, 1.0), (1, 1, 1)),
+                                                  (0.7, ())])
+def test_a_label_one_ulp_above_blank_is_emitted(monkeypatch, label_logit, emitted):
+    """The argmax is taken on the raw logits: one ulp decides, an exact tie
+    goes to blank."""
+    monkeypatch.setattr(dc, "linguistic_start_states", lambda config: 0)
+    monkeypatch.setattr(dc, "linguistic_step",
+                        lambda prev, s, p, c: (np.zeros(1), s))
+    monkeypatch.setattr(dc, "joint", lambda f, g_u, params: np.tile(
+        [0.7, label_logit, -3.0, 0.7 - 1e-9], (len(f), 1)))
+    assert dc.greedy_decode(frames(3), None, None) == emitted
+
+
 def test_rejects_empty_feature_sequence():
     with pytest.raises(UsageError):
         dc.greedy_decode(np.zeros((0, 4)), None, None)
@@ -167,6 +180,19 @@ def test_decode_image_rejects_vocab_size_mismatch():
     cfg, params = small_model()
     with pytest.raises(ConfigError):
         dc.decode_image(np.zeros((4, 8)), Vocab(("x", "y")), params, cfg)
+
+
+def test_overflowing_joint_logits_raise_instead_of_decoding():
+    """Finite weights whose logits overflow: blank's to -inf, every label's to
+    +inf. An argmax of them would emit label 1 at every frame."""
+    cfg, params = small_model()
+    params.joint_bias[:] = 30.0  # tanh is exactly 1 in every unit
+    params.joint_w[:] = 1e308
+    params.joint_w[0] = -1e308
+    image = np.random.default_rng(8).random((4, 20))
+    with np.errstate(over="ignore"):  # the suite makes numpy's overflow warning an error
+        with pytest.raises(UsageError, match="^joint requires finite logits$"):
+            dc.decode_image(image, Vocab(("x", "y", "z")), params, cfg)
 
 
 # --- windows of frames against the frame-by-frame loop -----------------------------

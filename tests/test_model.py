@@ -303,10 +303,11 @@ def test_linguistic_step_does_not_mutate_states():
 
 
 def test_joint_returns_log_distribution():
+    """joint returns raw logits; their log_softmax is the distribution."""
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=6)
     rng = np.random.default_rng(1)
-    out = md.joint(rng.normal(size=4), rng.normal(size=4), params)
+    out = md.log_softmax(md.joint(rng.normal(size=4), rng.normal(size=4), params))
     assert out.shape == (cfg.vocab_size + 1,)
     assert abs(np.log(np.sum(np.exp(out)))) < 1e-12
 
@@ -317,10 +318,10 @@ def test_joint_block_rows_match_single_frame_calls(n):
     params = md.init_params(cfg, seed=6)
     rng = np.random.default_rng(n)
     frames, context = rng.normal(size=(n, 4)), rng.normal(size=4)
-    block = md.joint(frames, context, params)
+    block = md.log_softmax(md.joint(frames, context, params))
     assert block.shape == (n, cfg.vocab_size + 1)
     for row, f in zip(block, frames):
-        assert np.max(np.abs(row - md.joint(f, context, params))) <= 1e-12
+        assert np.max(np.abs(row - md.log_softmax(md.joint(f, context, params)))) <= 1e-12
         assert abs(np.log(np.sum(np.exp(row)))) < 1e-12
 
 
@@ -333,10 +334,35 @@ def test_joint_block_is_a_lattice_column():
     feats = md.visual_encode(image, params, cfg)
     ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
     for u in range(3):
-        column = md.joint(feats, ctx[u], params)
+        column = md.log_softmax(md.joint(feats, ctx[u], params))
         assert np.max(np.abs(column[:, BLANK] - blank[:, u])) <= 1e-12
         if u < len(labels):
             assert np.max(np.abs(column[:, labels[u]] - label[:, u])) <= 1e-12
+
+
+def test_joint_logits_are_the_training_blocks_logits():
+    """joint makes _joint_block's logits, one context row at a time."""
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=7)
+    rng = np.random.default_rng(4)
+    feats, ctx = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+    block = md._joint_block(feats, ctx, params)[1]
+    for u in range(3):
+        assert np.max(np.abs(md.joint(feats, ctx[u], params) - block[:, u])) <= 1e-12
+        assert np.max(np.abs(md.joint(feats[2], ctx[u], params) - block[2, u])) <= 1e-12
+
+
+def test_checkpoint_charset_with_a_line_break_is_a_config_error(tmp_path):
+    """No charset file can hold such a symbol, so a checkpoint may not either."""
+    cfg = tiny_model_config()
+    path = tmp_path / "m.ckpt"
+    md.save_checkpoint(path, cfg, Vocab(("a", "q", "c")), md.init_params(cfg, seed=1))
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[12:16])
+    header = blob[16 : 16 + size].replace(b'"q"', b'"\\u001c"')
+    path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + size :])
+    with pytest.raises(ConfigError, match=r"charset symbol 2: '\\x1c' is a line break$"):
+        md.load_checkpoint(path)
 
 
 def test_joint_rejects_size_mismatch():

@@ -404,6 +404,24 @@ def test_channel_norm_cached_statistics_match_recomputed_ones(shape):
         assert rel_err(a, b) <= 1e-12, name
 
 
+@pytest.mark.parametrize("w", [1, 2, 81, 1160])
+def test_column_view_and_channel_mean_are_bitwise_their_numpy_forms(w):
+    """_columns' strided view is as_strided's, and channel_norm's centring
+    subtracts exactly ndarray.mean, at the widths a line map takes."""
+    rng = np.random.default_rng(w)
+    x = rng.normal(size=(2, 32, w)) * 3.0 + 1.0
+    for kh, kw in ((3, 3), (1, 5)):
+        xp = np.zeros((2, 32 + kh - 1, w + kw - 1))
+        xp[:, kh // 2 : kh // 2 + 32, kw // 2 : kw // 2 + w] = x
+        sc, sy, sx = xp.strides
+        view = np.lib.stride_tricks.as_strided(xp, (2, kh, kw, 32, w), (sc, sy, sx, sy, sx))
+        assert np.array_equal(nm._columns(x, kh, kw), view.reshape(2 * kh * kw, 32 * w))
+    centred = x.copy()
+    nm.channel_norm(centred, np.ones(2))
+    flat = x.reshape(2, -1)
+    assert np.array_equal(centred.reshape(2, -1), flat - flat.mean(axis=1, keepdims=True))
+
+
 def test_channel_norm_backward_allocates_only_its_result():
     rng = np.random.default_rng(57)
     grad_out, xhat = rng.normal(size=(2, 8, 32, 160))
