@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification or run failure, 2 I/O or path error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -157,32 +158,38 @@ def cmd_train(cfg: RunConfig, seed, out_dir) -> int:
     return 0
 
 
-def _load_model(cfg: RunConfig, checkpoint):
-    """The checkpoint's (config, vocab, params); its charset must be the configured one."""
-    model_cfg, vocab, params = load_checkpoint(
-        _require(checkpoint or cfg.paths.checkpoint, "checkpoint"))
+@contextlib.contextmanager
+def _loaded_model(cfg: RunConfig, checkpoint):
+    """The checkpoint's (config, vocab, params); its charset must be the configured
+    one. The inputs are checked, so a UsageError in the body, such as logits
+    that overflow, is the model's fault: a ConfigError naming the checkpoint."""
+    path = _require(checkpoint or cfg.paths.checkpoint, "checkpoint")
+    model_cfg, vocab, params = load_checkpoint(path)
     if cfg.paths.charset is not None:
         check_same(load_charset(cfg.paths.charset).symbols, vocab.symbols,
                    f"charset {cfg.paths.charset} differs from the checkpoint's")
-    return model_cfg, vocab, params
+    try:
+        yield model_cfg, vocab, params
+    except UsageError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
 def cmd_eval(cfg: RunConfig, checkpoint, manifest) -> int:
     manifest_path = _require(manifest or cfg.paths.val_manifest or cfg.paths.manifest,
                              "manifest")
-    model_cfg, vocab, params = _load_model(cfg, checkpoint)
-    samples = load_manifest(manifest_path, vocab)
-    rate = evaluate_cer(params, model_cfg, vocab, samples, cfg.decode)
+    with _loaded_model(cfg, checkpoint) as (model_cfg, vocab, params):
+        samples = load_manifest(manifest_path, vocab)
+        rate = evaluate_cer(params, model_cfg, vocab, samples, cfg.decode)
     print(f"CER: {rate * 100:.2f}%")
     return 0
 
 
 def cmd_decode(cfg: RunConfig, checkpoint, images, direction: str) -> int:
     pixels = [read_image(p) for p in images]  # up front, so a bad image prints no transcript
-    model_cfg, vocab, params = _load_model(cfg, checkpoint)
-    for image in pixels:
-        canon = preprocess(LineSample(image, "", direction), model_cfg.input_height)
-        print(decode_image(canon.image, vocab, params, model_cfg, cfg.decode))
+    with _loaded_model(cfg, checkpoint) as (model_cfg, vocab, params):
+        for image in pixels:
+            canon = preprocess(LineSample(image, "", direction), model_cfg.input_height)
+            print(decode_image(canon.image, vocab, params, model_cfg, cfg.decode))
     return 0
 
 

@@ -409,16 +409,6 @@ def _conv_block_backward(grad_out: np.ndarray, cache: ConvBlockCache, p: ConvBlo
     return grad_x
 
 
-def _conv_stack(image: np.ndarray, params: ModelParams, config: ModelConfig, blocks: list | None):
-    """Image -> (T, C_last) through the _conv_block of each conv block; caches
-    go to ``blocks`` if given."""
-    x = image[None, :, :]
-    for blk_params, blk_cfg in zip(params.conv, config.conv_blocks):
-        x = _conv_block(x, blk_params, blk_cfg[2], blocks)
-    # (C, 1, T) -> (T, C)
-    return x[:, 0, :].T
-
-
 def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelConfig, *,
                          keep_caches: bool = True):
     """Image -> (features (T, encoded_size), VisualCache, or None unless keep_caches)."""
@@ -428,7 +418,10 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
             f"image shape {image.shape} does not match input_height={config.input_height}"
         )
     blocks = [] if keep_caches else None
-    seq = _conv_stack(image, params, config, blocks)
+    x = image[None, :, :]
+    for blk_params, blk_cfg in zip(params.conv, config.conv_blocks):
+        x = _conv_block(x, blk_params, blk_cfg[2], blocks)
+    seq = x[:, 0, :].T  # (C, 1, T) -> (T, C)
     runs = []
     for bi in params.vis_rnn:
         seq, run = _run_lstm(seq, (bi.fwd, bi.bwd), keep_caches)
@@ -525,7 +518,8 @@ def joint(f: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
                          f"E={size[0]}; got {f.shape} and {g_u.shape}")
     v = f + g_u
     v += params.joint_bias
-    logits = np.tanh(v, out=v) @ params.joint_w.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        logits = np.tanh(v, out=v) @ params.joint_w.T
     if not np.all(np.isfinite(logits)):
         raise UsageError("joint requires finite logits")
     return logits
@@ -557,7 +551,8 @@ def _joint_block(feats: np.ndarray, ctx: np.ndarray, params: ModelParams):
     v = np.add(feats[:, None, :], ctx)
     v += params.joint_bias
     np.tanh(v, out=v)
-    return v, v @ params.joint_w.T
+    with np.errstate(over="ignore", invalid="ignore"):  # node_log_probs reports them
+        return v, v @ params.joint_w.T
 
 
 def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):

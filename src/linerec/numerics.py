@@ -182,9 +182,12 @@ def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
     return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w
 
 
-def _merge(acc: np.ndarray, part: np.ndarray) -> None:
-    """acc = max(acc, part) over part's extent, a leading corner of acc."""
+def _merge(acc: np.ndarray, part: np.ndarray, argmax=None, k: int = 0) -> None:
+    """acc = max(acc, part) over part's extent, a leading corner of acc; with
+    ``argmax``, k goes to its corner where part is strictly larger."""
     corner = acc[:, : part.shape[1], : part.shape[2]]
+    if argmax is not None:
+        np.copyto(argmax[:, : part.shape[1], : part.shape[2]], k, where=part > corner)
     np.maximum(corner, part, out=corner)
 
 
@@ -192,14 +195,14 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True)
     """Ceil-mode max pooling of a (C, H, W) map.
 
     Slice x[:, dy::ph, dx::pw] is offset (dy, dx) of every window that has
-    one. Returns (pooled, argmax): the running maximum over the slices and
-    the within-window index dy * pw + dx of the first (row-major) maximum,
-    since only a strictly larger value moves it; that keeps the backward pass
-    deterministic. The argmax pass pads the map with -inf where the pool
-    leaves partial windows. Without need_argmax, argmax is None and the
-    windows are reduced over their rows, then over their columns, each slice
-    merged into the corner it covers: ph + pw - 2 merges in place of
-    ph * pw - 1, with the same values, since max rounds nothing.
+    one, so it covers a leading corner of the pooled map, and each slice is
+    merged into that corner. Returns (pooled, argmax): the running maximum
+    over the slices and the within-window index dy * pw + dx of the first
+    (row-major) maximum, since only a strictly larger value moves it; that
+    keeps the backward pass deterministic. Without need_argmax, argmax is
+    None and the windows are reduced over their rows, then over their
+    columns: ph + pw - 2 merges in place of ph * pw - 1, with the same
+    values, since max rounds nothing.
     """
     ph, pw = pool
     if not need_argmax:
@@ -210,17 +213,10 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True)
         for dx in range(1, pw):
             _merge(pooled, rows[:, :, dx::pw])
         return pooled, None
-    c, h, w = x.shape
-    ho, wo = -(-h // ph), -(-w // pw)
-    if (ho * ph, wo * pw) != (h, w):
-        x, real = np.full((c, ho * ph, wo * pw), NEG_INF), x
-        x[:, :h, :w] = real
     pooled = x[:, ::ph, ::pw].copy()
-    argmax = np.zeros((c, ho, wo), dtype=np.intp)
+    argmax = np.zeros(pooled.shape, dtype=np.intp)
     for k in range(1, ph * pw):
-        window = x[:, k // pw :: ph, k % pw :: pw]
-        np.copyto(argmax, k, where=window > pooled)
-        np.maximum(pooled, window, out=pooled)
+        _merge(pooled, x[:, k // pw :: ph, k % pw :: pw], argmax, k)
     return pooled, argmax
 
 
@@ -257,10 +253,10 @@ def maxpool2d_backward(
 # each elementwise op covers all directions in one contiguous call.
 #
 # One tanh serves all four gates, as sigmoid(z) = 0.5 * (1 + tanh(z / 2)). A
-# scan halves the sigmoid rows of its hoisted input projection and of a copy
-# of each w_h (exact: scaling by 0.5 rounds nothing), so a step takes the tanh
-# of its pre-activations as they come and maps the sigmoid rows back with one
-# multiply-add; nothing can overflow.
+# scan multiplies its hoisted input projection and a copy of each w_h by
+# _gate_affine's scale, which halves the sigmoid rows (exact: 0.5 rounds
+# nothing), so a step takes the tanh of its pre-activations as they come and
+# maps the sigmoid rows back with one multiply-add; nothing can overflow.
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,13 +298,10 @@ class ScanWork(NamedTuple):
 def lstm_scan_work(layers) -> ScanWork:
     """The ScanWork of a scan with one LSTM per direction in ``layers``."""
     hs, d = layers[0].hidden_size, len(layers)
-    w_h = []
-    for p in layers:
-        w = p.w_h * 0.5
-        w[2 * hs : 3 * hs] = p.w_h[2 * hs : 3 * hs]  # the candidate's rows stay whole
-        w_h.append(w)
+    row_scale = _gate_affine(hs)[0].reshape(-1, 1)
     zh = np.empty((d, 4 * hs))
-    return ScanWork(tuple(w_h), zh, zh.reshape(d, 4, hs).swapaxes(0, 1), *_gate_affine(hs, d))
+    return ScanWork(tuple(p.w_h * row_scale for p in layers), zh,
+                    zh.reshape(d, 4, hs).swapaxes(0, 1), *_gate_affine(hs, d))
 
 
 def lstm_step_cached(zx, h_prev, c_prev, work: ScanWork, gates, c, tanh_c, h) -> None:

@@ -294,7 +294,10 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
                 adam_step(params, batch_grads, opt, lr, clip_norm=train_cfg.grad_clip_norm)
                 global_step += 1
 
-            val = evaluate_cer(params, model_cfg, vocab, canon_val, decode_cfg)
+            try:
+                val = evaluate_cer(params, model_cfg, vocab, canon_val, decode_cfg)
+            except UsageError as exc:  # the validated samples are sound: the model is not
+                raise TrainingError(f"epoch {epoch}, validation: {exc}") from exc
             entry = EpochMetrics(epoch, float(np.mean(losses)), val, lr, clock() - t0)
             metrics.append(entry)
             log.write(entry.row() + "\n")

@@ -15,6 +15,9 @@ Areas:
 - lattice: loss_and_logit_grad on random lattices;
 - checkpoint: the bytes of a checkpoint saved after two Adam steps.
 
+A last line, src_lines, counts the lines of the tree's linerec package the
+way bench/envinfo.py does: the sum of splitlines() over src/linerec/*.py.
+
 It calls only long-standing public functions with their long-standing
 signatures, so the same script runs against an older tree. The full case set
 takes a few seconds; digests(reduced=True) is a smaller one for the tests.
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+import linerec
 from linerec.cli import default_model_config
 from linerec.data import SynthConfig, augment, preprocess, render_synthetic_line, synth_charset
 from linerec.decode import MODES, DecodeConfig, decode_image
@@ -132,6 +136,17 @@ def digests(reduced: bool = False) -> dict:
             "lattice": lattices(count), "checkpoint": checkpoint()}
 
 
-if __name__ == "__main__":
+def src_lines() -> int:
+    """Lines of the imported linerec package, by bench/envinfo.py's rule."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted(Path(linerec.__file__).parent.glob("*.py")))
+
+
+def main() -> None:
     for area, digest in digests().items():
         print(f"{area:<11} {digest}")
+    print(f"{'src_lines':<11} {src_lines()}")
+
+
+if __name__ == "__main__":
+    main()

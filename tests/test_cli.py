@@ -449,6 +449,55 @@ def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command, valu
     assert "tensor conv0.w holds a non-finite value" in err
 
 
+def _overflow_joint(params):
+    """Finite joint weights whose logits overflow: tanh is exactly 1 in every unit."""
+    params.joint_bias[:] = 30.0
+    params.joint_w[:] = 1e308
+    params.joint_w[0] = -1e308
+
+
+@pytest.mark.parametrize("command", ["decode", "eval"])
+def test_checkpoint_whose_logits_overflow_exits_3(pipeline, tmp_path, capsys, command):
+    """Every value is finite, so the checkpoint loads; decoding with it fails,
+    with one line and no numpy warning (the suite makes those errors)."""
+    from linerec.model import load_checkpoint, save_checkpoint
+
+    cfg_path, data, run = pipeline
+    config, vocab, params = load_checkpoint(run / "best.ckpt")
+    _overflow_joint(params)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, vocab, params)
+    extra = [str(next(data.rglob("*.pgm")))] if command == "decode" else []
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), command, "--checkpoint", str(bad)] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: checkpoint {bad}: " \
+                           f"joint requires finite logits\n", captured.err
+    assert captured.out == ""
+
+
+def test_training_whose_validation_logits_overflow_exits_1(pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+    import linerec.train
+
+    cfg_path, _, _ = pipeline
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["train"]["checkpoint_dir"] = str(tmp_path / "run")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    evaluate_cer = linerec.train.evaluate_cer
+
+    def overflowing(params, *args):
+        _overflow_joint(params)
+        return evaluate_cer(params, *args)
+
+    monkeypatch.setattr(linerec.train, "evaluate_cer", overflowing)
+    capsys.readouterr()
+    assert main(["--config", str(config), "train"]) == 1
+    err = capsys.readouterr().err
+    assert err == "training failed: epoch 1, validation: joint requires finite logits\n", err
+
+
 @pytest.mark.parametrize("hidden_size", [10**7, 10**12],
                          ids=["too_large_to_allocate", "beyond_numpy_index_range"])
 def test_train_of_a_model_too_large_to_allocate_exits_3(pipeline, tmp_path, capsys,

@@ -383,6 +383,24 @@ def test_relu_after_pool_equals_relu_before_pool(hw, pool):
         assert np.array_equal(after_grad, before_grad)
 
 
+def test_pooling_a_map_with_partial_windows_makes_no_full_size_copy():
+    """Each slice merges into the corner of the windows it covers, so an odd
+    width costs no padded copy of the map: the pooled map and the argmax are a
+    quarter of it each. The map is block 0's on a 1,081-pixel s1 line; on a
+    map of a few thousand elements numpy's ufunc buffers for strided operands,
+    up to 8,192 elements each, would outweigh the map itself."""
+    x = np.random.default_rng(59).normal(size=(8, 32, 1081))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pooled, argmax = nm.maxpool2d(x, (2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pooled.shape == argmax.shape == (8, 16, 541)
+    assert peak - start < x.nbytes
+
+
 @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 7), (2, 9, 1), (4, 8, 33)])
 def test_channel_norm_cached_statistics_match_recomputed_ones(shape):
     rng = np.random.default_rng(53)

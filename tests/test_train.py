@@ -322,6 +322,24 @@ def test_train_run_wraps_forward_failures_with_identifiers(tmp_path, monkeypatch
         tr.train_run(*args, clock=FakeClock())
 
 
+def test_train_run_names_the_epoch_when_validation_logits_overflow(tmp_path, monkeypatch):
+    """Weights whose joint logits overflow by the time of validation: its
+    decoding's UsageError becomes a TrainingError, with no numpy warning (the
+    suite makes those errors)."""
+    args = toy_setup(tmp_path, "overflow")
+    evaluate_cer = tr.evaluate_cer
+
+    def overflowing(params, *rest):
+        params.joint_bias[:] = 30.0  # tanh is exactly 1 in every unit
+        params.joint_w[:] = 1e308
+        params.joint_w[0] = -1e308
+        return evaluate_cer(params, *rest)
+
+    monkeypatch.setattr(tr, "evaluate_cer", overflowing)
+    with pytest.raises(TrainingError, match="^epoch 1, validation: joint requires finite logits$"):
+        tr.train_run(*args, clock=FakeClock())
+
+
 def test_batch_gradient_is_the_sum_of_fresh_example_gradients(tmp_path, monkeypatch):
     """The reused example and batch buffers give what fresh shells would:
     every Adam step sees the sum, in batch order, of each example's gradient
