@@ -323,7 +323,8 @@ def write_manifest(path, samples) -> None:
 
 def load_manifest(path, vocab: Vocab | None = None) -> list:
     """Rows are image_path<TAB>direction<TAB>transcript; image paths resolve
-    relative to the manifest. With a vocab, transcripts are checked against it."""
+    relative to the manifest. With a vocab, transcripts are checked against it.
+    An error in a row, the row's image included, names the manifest and the row."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -337,14 +338,13 @@ def load_manifest(path, vocab: Vocab | None = None) -> list:
         img_rel, direction, transcript = parts
         if direction not in DIRECTIONS:
             raise DataError(f"{path} row {n}: direction {direction!r} not one of {DIRECTIONS}")
-        img_path = path.parent / img_rel
-        if not img_path.exists():
-            raise DataError(f"{path} row {n}: missing image {img_rel}")
-        if vocab is not None:
-            bad = next((ch for ch in transcript if ch not in vocab.ids), None)
-            if bad is not None:
-                raise DataError(f"{path} row {n}: character {bad!r} not in charset")
-        samples.append(LineSample(read_image(img_path), transcript, direction))
+        try:
+            image = read_image(path.parent / img_rel)
+            if vocab is not None:
+                vocab.encode(transcript)
+        except (DataError, UsageError) as exc:
+            raise DataError(f"{path} row {n}: {exc}") from None
+        samples.append(LineSample(image, transcript, direction))
     if not samples:
         raise DataError(f"{path}: manifest has no rows")
     return samples

@@ -15,11 +15,13 @@ softmax * occupancy - gamma directly (Li et al. 2019, arXiv 1909.12415). They
 are validated against full enumeration (the oracles module), never trusted
 on their own.
 
-Both recurrences run as an anti-diagonal wavefront (Graves 2012, arXiv
+Both recurrences run as one anti-diagonal wavefront (Graves 2012, arXiv
 1211.3711): the nodes with t+u = n depend only on diagonal n-1, so each
-diagonal is one vector step. Every node runs the scalar recurrence's adds and
-logaddexp in the same operand order, and logaddexp(x, -inf) is exactly x, so
-the results are bitwise equal to the node-by-node recurrence.
+diagonal is one vector step, and beta is alpha's recurrence run from the far
+corner over the transition tables reversed in both axes. Every node runs the
+scalar recurrence's adds and logaddexp in the same operand order, and
+logaddexp(x, -inf) is exactly x, so the results are bitwise equal to the
+node-by-node recurrence.
 
 Indexing is zero-based throughout: t in [0, T), u in [0, U].
 """
@@ -138,30 +140,20 @@ def _unskewed(skew: np.ndarray, t_total: int) -> np.ndarray:
     return skew[np.arange(t_total)[:, None] + u, u]
 
 
-def _alpha_diagonals(blank: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, float]:
-    """alpha in diagonal-major form, and log Pr, from _diagonal_transitions' tables."""
-    diagonals, rows = blank.shape
-    alpha = np.full((diagonals, rows), NEG_INF)
-    alpha[0, 0] = 0.0
-    stay, move = np.empty(rows), np.full(rows, NEG_INF)  # move[0]: no label enters u=0
-    for n in range(1, diagonals):
-        np.add(alpha[n - 1], blank[n - 1], out=stay)
-        np.add(alpha[n - 1, :-1], label[n - 1], out=move[1:])
-        np.logaddexp(stay, move, out=alpha[n])
-    return alpha, float(alpha[-1, -1] + blank[-1, -1])
-
-
-def _beta_diagonals(blank: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """beta in diagonal-major form, from _diagonal_transitions' tables."""
-    diagonals, rows = blank.shape
-    beta = np.full((diagonals, rows), NEG_INF)
-    beta[-1, -1] = blank[-1, -1]
-    stay, move = np.empty(rows), np.full(rows, NEG_INF)  # move[U]: no label leaves u=U
-    for n in range(diagonals - 2, -1, -1):
-        np.add(beta[n + 1], blank[n], out=stay)
-        np.add(beta[n + 1, 1:], label[n], out=move[:-1])
-        np.logaddexp(stay, move, out=beta[n])
-    return beta
+def _wavefront(start: float, blank: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The diagonal-major table of table[0, 0] = start and, per diagonal n,
+    table[n] = logaddexp(table[n-1] + blank[n-1], table[n-1, :-1] + label[n-1]
+    shifted one column right). On _diagonal_transitions' tables this is alpha;
+    on the tables reversed in both axes it is beta, reversed likewise."""
+    rows = blank.shape[1]
+    table = np.full((len(blank) + 1, rows), NEG_INF)
+    table[0, 0] = start
+    stay, move = np.empty(rows), np.full(rows, NEG_INF)  # move[0]: nothing enters column 0
+    for n in range(1, len(table)):
+        np.add(table[n - 1], blank[n - 1], out=stay)
+        np.add(table[n - 1, :-1], label[n - 1], out=move[1:])
+        np.logaddexp(stay, move, out=table[n])
+    return table
 
 
 def rnnt_alphabeta(blank: np.ndarray, label: np.ndarray) -> AlphaBetaTables:
@@ -180,12 +172,13 @@ def rnnt_alphabeta(blank: np.ndarray, label: np.ndarray) -> AlphaBetaTables:
     if blank.ndim != 2 or len(blank) < 1 or label.shape != (len(blank), blank.shape[1] - 1):
         raise UsageError(f"transition tables of shapes {blank.shape} and {label.shape} "
                          "are not (T, U+1) and (T, U) with T >= 1")
-    skewed = _diagonal_transitions(blank, label)
-    alpha, log_prob = _alpha_diagonals(*skewed)
-    t_total = blank.shape[0]
-    return AlphaBetaTables(alpha=_unskewed(alpha, t_total),
-                           beta=_unskewed(_beta_diagonals(*skewed), t_total),
-                           log_prob=log_prob, blank=blank, label=label)
+    skew_blank, skew_label = _diagonal_transitions(blank, label)
+    alpha = _wavefront(0.0, skew_blank[:-1], skew_label[:-1])
+    beta = _wavefront(skew_blank[-1, -1], skew_blank[-2::-1, ::-1],
+                      skew_label[-2::-1, ::-1])[::-1, ::-1]
+    return AlphaBetaTables(alpha=_unskewed(alpha, len(blank)), beta=_unskewed(beta, len(blank)),
+                           log_prob=float(alpha[-1, -1] + skew_blank[-1, -1]),
+                           blank=blank, label=label)
 
 
 def rnnt_grad(tables: AlphaBetaTables):

