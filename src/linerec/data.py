@@ -259,8 +259,8 @@ _PGM_HEADER = re.compile(rb"#[^\n]*|(\S+)")
 def read_image(path) -> np.ndarray:
     try:
         blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    except OSError as exc:  # its text would name the path again
+        raise DataError(f"{path}: {exc.strerror}") from None
     if not blob.startswith(b"P5"):
         raise DataError(f"{path}: not a binary PGM (P5) file")
     tokens = []  # width, height, maxval after the magic
@@ -298,7 +298,7 @@ def load_charset(path) -> Vocab:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
     try:  # symbol n is line n
         return Vocab(tuple(text.splitlines()))
     except UsageError as exc:
@@ -329,7 +329,7 @@ def load_manifest(path, vocab: Vocab | None = None) -> list:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
     samples = []
     for n, line in enumerate(text.splitlines(), start=1):
         parts = line.split("\t")

@@ -97,7 +97,7 @@ class ModelConfig(ConfigSection):
             raise ConfigError("need at least one conv block")
         h = self.input_height
         for blk in self.conv_blocks:
-            channels, kernel, pool = blk[0], blk[1], tuple(blk[2])
+            channels, kernel, pool = blk
             if not all(json_type_ok(int, x) for x in (channels, kernel, *pool)):
                 raise ConfigError(f"conv block {blk} must hold integers")
             if channels < 1 or kernel < 1 or kernel % 2 == 0:
@@ -138,12 +138,6 @@ class AffineParams:
 
 
 @dataclass
-class BiLstmParams:
-    fwd: LstmParams
-    bwd: LstmParams
-
-
-@dataclass
 class ModelParams:
     """Every trainable tensor, grouped by sub-network. Each tensor is a view
     into ``flat``, one contiguous float64 buffer laid out as tensor_shapes
@@ -151,7 +145,7 @@ class ModelParams:
     ``named`` holds the (name, view) pairs in that order."""
 
     conv: list  # [ConvBlockParams]
-    vis_rnn: list  # [BiLstmParams]
+    vis_rnn: list  # [(forward LstmParams, backward LstmParams)]
     vis_proj: AffineParams
     embed: np.ndarray  # (K+1, embed_size)
     lm_rnn: list  # [LstmParams]
@@ -214,7 +208,7 @@ def _on_buffer(layout: list, flat: np.ndarray) -> ModelParams:
     return ModelParams(
         conv=[ConvBlockParams(views[f"conv{i}.w"], views[f"conv{i}.gain"], views[f"conv{i}.shift"])
               for i in layers("conv{}.w")],
-        vis_rnn=[BiLstmParams(lstm(f"vis{i}.fwd"), lstm(f"vis{i}.bwd")) for i in layers("vis{}.fwd.b")],
+        vis_rnn=[(lstm(f"vis{i}.fwd"), lstm(f"vis{i}.bwd")) for i in layers("vis{}.fwd.b")],
         vis_proj=AffineParams(views["vis_proj.w"], views["vis_proj.b"]),
         embed=views["embed"],
         lm_rnn=[lstm(f"lm{i}") for i in layers("lm{}.b")],
@@ -236,12 +230,8 @@ def clone_params(params: ModelParams) -> ModelParams:
 
 
 def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
-    if len(shape) == 4:  # conv: fans include the receptive field
-        fan_in = shape[1] * shape[2] * shape[3]
-        fan_out = shape[0] * shape[2] * shape[3]
-    else:
-        fan_out, fan_in = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    field = math.prod(shape[2:])  # a conv's fans include its receptive field
+    limit = np.sqrt(6.0 / (shape[1] * field + shape[0] * field))  # fan_in + fan_out
     return rng.uniform(-limit, limit, size=shape)
 
 
@@ -267,7 +257,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         elif a.ndim > 1:
             a[...] = _glorot(rng, a.shape)
     hs = config.hidden_size
-    for p in [d for bi in params.vis_rnn for d in (bi.fwd, bi.bwd)] + params.lm_rnn:
+    for p in itertools.chain(*params.vis_rnn, params.lm_rnn):
         p.b[hs : 2 * hs] = 1.0  # forget gate opens at init
     for blk in params.conv:
         blk.gain[...] = 1.0
@@ -423,8 +413,8 @@ def visual_encode_cached(image: np.ndarray, params: ModelParams, config: ModelCo
         x = _conv_block(x, blk_params, blk_cfg[2], blocks)
     seq = x[:, 0, :].T  # (C, 1, T) -> (T, C)
     runs = []
-    for bi in params.vis_rnn:
-        seq, run = _run_lstm(seq, (bi.fwd, bi.bwd), keep_caches)
+    for layers in params.vis_rnn:
+        seq, run = _run_lstm(seq, layers, keep_caches)
         runs.append(run)
     feats = affine_forward(seq, params.vis_proj.w, params.vis_proj.b)
     return feats, VisualCache(blocks, runs) if keep_caches else None
@@ -440,8 +430,8 @@ def _visual_backward(grad_feats: np.ndarray, cache: VisualCache,
     grad_seq, gw, gb = affine_backward(grad_feats, cache.runs[-1].out, params.vis_proj.w)
     grads.vis_proj.w += gw
     grads.vis_proj.b += gb
-    for run, bi, g in reversed(list(zip(cache.runs, params.vis_rnn, grads.vis_rnn))):
-        grad_seq = _run_lstm_backward(grad_seq, run, (bi.fwd, bi.bwd), (g.fwd, g.bwd))
+    for run, layers, g in reversed(list(zip(cache.runs, params.vis_rnn, grads.vis_rnn))):
+        grad_seq = _run_lstm_backward(grad_seq, run, layers, g)
     # sequence -> (C, 1, T) map
     grad_map = grad_seq.T[:, None, :]
     for i in reversed(range(len(params.conv))):

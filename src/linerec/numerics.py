@@ -85,10 +85,10 @@ def affine_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray):
 def channel_norm(x: np.ndarray, gain: np.ndarray):
     """Per-channel normalization statistics of a contiguous (C, H, W) map over
     its own spatial extent, so nothing else in a batch matters. They are taken
-    in place: each channel of ``x`` is centred, and its variance is one row
-    dot product. Returns (scale, inv_std), both (C,): inv_std =
-    1 / sqrt(var + LN_EPS), which maps the centred map to the standardized
-    xhat that channel_norm_backward takes, and scale = |gain| * inv_std.
+    in place: each channel of ``x`` is centred, and its variance is one einsum
+    row dot product (a BLAS dot rounds by thread count). Returns the (C,)
+    arrays (scale, inv_std): inv_std = 1 / sqrt(var + LN_EPS) maps the centred
+    map to channel_norm_backward's standardized xhat; scale = |gain| * inv_std.
 
     Max pooling commutes with a positive scale only, so a conv block hands in
     its output with the channels of negative gain negated. The pool of the
@@ -98,7 +98,7 @@ def channel_norm(x: np.ndarray, gain: np.ndarray):
         raise UsageError("channel_norm centres a contiguous map in place")
     flat = x.reshape(len(x), -1)  # a view of x
     flat -= np.add.reduce(flat, axis=1, keepdims=True) / flat.shape[1]  # ndarray.mean, cheaper
-    var = (flat[:, None, :] @ flat[:, :, None]).ravel() / flat.shape[1]
+    var = np.einsum("ij,ij->i", flat, flat) / flat.shape[1]
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     return np.abs(gain) * inv_std, inv_std
 

@@ -2,10 +2,10 @@
 per-epoch validation by character error rate, best-checkpoint retention,
 and a TSV metrics log.
 
-Every whole-parameter operation (gradient accumulation, the global norm,
-the Adam update) is one vector operation on the flat parameter buffer (see
-``ModelParams``). A run is a pure function of its configs, data and seed:
-with a fixed seed it is bitwise reproducible.
+Every whole-parameter operation (zeroing the batch gradient, the global
+norm, the Adam update) is one vector operation on the flat parameter buffer
+(see ``ModelParams``). A run is a pure function of its configs, data and
+seed: with a fixed seed and BLAS thread count it is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -212,14 +212,15 @@ def _augment_seed(base_seed: int, epoch: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, epoch, index)).generate_state(1)[0])
 
 
-def _example_loss_grads(sample, labels, params, model_cfg, inv_batch, grads):
-    """(loss, grads) of one example, its gradient scaled by inv_batch and added
+def _example_loss(sample, labels, params, model_cfg, inv_batch, grads) -> float:
+    """The loss of one example; its gradient, scaled by inv_batch, is added
     into ``grads``."""
     (blank, label), cache = forward_lattice(sample.image, labels, params, model_cfg)
     tables = rnnt_alphabeta(blank, label)
     grad_blank, grad_label = rnnt_grad(tables)
-    return -tables.log_prob, backward_pass((grad_blank * inv_batch, grad_label * inv_batch),
-                                           cache, params, model_cfg, grads)
+    backward_pass((grad_blank * inv_batch, grad_label * inv_batch), cache, params, model_cfg,
+                  grads)
+    return -tables.log_prob
 
 
 def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthConfig,
@@ -245,7 +246,7 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(model_cfg, train_cfg.seed)
     opt = init_opt_state(params)
-    batch_grads, example_grads = zero_grads_shell(params), zero_grads_shell(params)
+    batch_grads = zero_grads_shell(params)
     canon_train = [preprocess(s, model_cfg.input_height) for s in train_samples]
     canon_val = [preprocess(s, model_cfg.input_height) for s in val_samples]
     label_cache = [vocab.encode(s.transcript) for s in canon_train]
@@ -274,12 +275,9 @@ def train_run(model_cfg: ModelConfig, train_cfg: TrainConfig, synth_cfg: SynthCo
                         sample = augment(canon_train[idx], synth_cfg,
                                          train_cfg.augment_strength,
                                          _augment_seed(train_cfg.seed, epoch, idx))
-                        example_grads.flat.fill(0.0)
-                        loss, grads = _example_loss_grads(sample, label_cache[idx], params,
-                                                          model_cfg, 1.0 / len(chunk),
-                                                          example_grads)
+                        loss = _example_loss(sample, label_cache[idx], params, model_cfg,
+                                             1.0 / len(chunk), batch_grads)
                         batch_loss += loss / len(chunk)
-                        batch_grads.flat += grads.flat
                 except UsageError as exc:
                     raise TrainingError(
                         f"epoch {epoch}, batch starting at sample {start}: "

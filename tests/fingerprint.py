@@ -8,6 +8,9 @@ Areas:
 - training: the loss and every parameter gradient of forward_lattice ->
   rnnt_alphabeta -> rnnt_grad -> backward_pass, on s1 lines at K=12 (1-8
   glyphs) and K=80 (50-70 glyphs), from freshly initialised parameters;
+- training_batch: the final parameter buffer and the mean loss of one
+  train_run epoch over s1 K=12 lines in batches of several lines, which
+  sees the order in which a batch's gradients are summed;
 - features and hypotheses: visual_encode features and decode_image
   transcripts, under both search modes, of bench/reference/decode_s1.ckpt
   on distorted synthetic lines: two long ones cropped to widths 1, 8, 50,
@@ -35,7 +38,14 @@ import numpy as np
 
 import linerec
 from linerec.cli import default_model_config
-from linerec.data import SynthConfig, augment, preprocess, render_synthetic_line, synth_charset
+from linerec.data import (
+    SynthConfig,
+    augment,
+    make_dataset,
+    preprocess,
+    render_synthetic_line,
+    synth_charset,
+)
 from linerec.decode import MODES, DecodeConfig, decode_image
 from linerec.lattice import loss_and_logit_grad, node_log_probs, rnnt_alphabeta, rnnt_grad
 from linerec.model import (
@@ -47,14 +57,15 @@ from linerec.model import (
     visual_encode,
     zero_grads_shell,
 )
-from linerec.train import adam_step, init_opt_state
+from linerec.train import TrainConfig, adam_step, init_opt_state, train_run
 
 DECODE_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "reference" / "decode_s1.ckpt"
 
-AREAS = ("training", "features", "hypotheses", "lattice", "checkpoint")
-# K: ((fewest, most) glyphs, training lines); crop widths; short decoded lines; lattices
-FULL = ({12: ((1, 8), 16), 80: ((50, 70), 6)}, (1, 8, 50, 300, 1160), 40, 100)
-REDUCED = ({12: ((1, 8), 2), 80: ((50, 70), 1)}, (1, 50), 2, 6)
+AREAS = ("training", "training_batch", "features", "hypotheses", "lattice", "checkpoint")
+# K: ((fewest, most) glyphs, training lines); (batch-trained lines, batch size); crop
+# widths; short decoded lines; lattices
+FULL = ({12: ((1, 8), 16), 80: ((50, 70), 6)}, (32, 8), (1, 8, 50, 300, 1160), 40, 100)
+REDUCED = ({12: ((1, 8), 2), 80: ((50, 70), 1)}, (4, 2), (1, 50), 2, 6)
 
 
 def _s1(k: int):
@@ -85,6 +96,19 @@ def training(lines: dict) -> str:
             loss, grads = _example_grads(line, synth_charset(k), params, cfg)
             h.update(np.float64(loss).tobytes())
             h.update(grads.flat.tobytes())
+    return h.hexdigest()
+
+
+def training_batch(lines: int, batch_size: int) -> str:
+    """One train_run epoch over ``lines`` s1 K=12 lines of 1-8 glyphs."""
+    synth = SynthConfig(charset_size=12, length_min=1, length_max=8)
+    with tempfile.TemporaryDirectory() as tmp:
+        train_cfg = TrainConfig(batch_size=batch_size, epochs=1, warmup_epochs=0, seed=7,
+                                checkpoint_dir=tmp)
+        result = train_run(_s1(12), train_cfg, synth, synth_charset(12),
+                           make_dataset(synth, lines, seed=21), make_dataset(synth, 2, seed=22))
+    h = hashlib.sha256(np.float64(result.metrics[0].mean_train_loss).tobytes())
+    h.update(result.params.flat.tobytes())
     return h.hexdigest()
 
 
@@ -135,10 +159,11 @@ def checkpoint() -> str:
 
 def digests(reduced: bool = False) -> dict:
     """{area: SHA-256 hex digest} over the full or the reduced case set."""
-    lines, widths, short_lines, count = REDUCED if reduced else FULL
+    lines, batch, widths, short_lines, count = REDUCED if reduced else FULL
     feats, hyps = decoding(widths, short_lines)
-    return {"training": training(lines), "features": feats, "hypotheses": hyps,
-            "lattice": lattices(count), "checkpoint": checkpoint()}
+    return {"training": training(lines), "training_batch": training_batch(*batch),
+            "features": feats, "hypotheses": hyps, "lattice": lattices(count),
+            "checkpoint": checkpoint()}
 
 
 def src_lines() -> int:

@@ -422,6 +422,22 @@ def test_read_image_missing_file(tmp_path):
         dt.read_image(tmp_path / "nope.pgm")
 
 
+def test_loader_messages_name_the_file_once(tmp_path):
+    """An OSError's own text ends with the path, so the loaders report its
+    strerror after the one path they name."""
+    image, charset, folder = tmp_path / "missing.pgm", tmp_path / "charset.txt", tmp_path / "dir"
+    folder.mkdir()
+    manifest = tmp_path / "lines.tsv"
+    manifest.write_text("missing.pgm\thorizontal\ta\n", encoding="utf-8")
+    cases = [(dt.read_image, image, image), (dt.load_manifest, manifest, image),
+             (dt.load_charset, charset, charset), (dt.load_charset, folder, folder)]
+    for load, arg, named in cases:
+        with pytest.raises(DataError) as err:
+            load(arg)
+        assert str(err.value).count(str(named)) == 1, str(err.value)
+    assert str(err.value) == f"{folder}: Is a directory"
+
+
 def test_charset_file_roundtrip(tmp_path):
     path = tmp_path / "charset.txt"
     vocab = dt.synth_charset(70)  # includes non-ascii symbols

@@ -1,6 +1,9 @@
 """The bitwise fingerprint script (tests/fingerprint.py) gives the same
 digests on every run of the same tree, and reports the package's size."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fingerprint
@@ -21,3 +24,18 @@ def test_the_script_ends_with_the_package_line_count(monkeypatch, capsys):
                 for p in Path(linerec.__file__).parent.glob("*.py"))
     assert capsys.readouterr().out.splitlines() == [f"training    {'0' * 64}",
                                                     f"src_lines   {count}"]
+
+
+def test_decoding_does_not_depend_on_the_blas_thread_count():
+    """Two 1160 px lines' features and hypotheses are bitwise the same at one
+    and at two BLAS threads: no reduction on the decoding path is split by them."""
+    code = "import fingerprint; print(*fingerprint.decoding((1160,), 0))"
+    path = os.pathsep.join([str(Path(fingerprint.__file__).parent),
+                            str(Path(linerec.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": path,
+                                               "OPENBLAS_NUM_THREADS": threads,
+                                               "OMP_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2

@@ -192,8 +192,8 @@ def test_init_respects_documented_ranges():
     limit = np.sqrt(6.0 / (9 + 18))
     assert np.all(np.abs(params.conv[0].w) <= limit)
     assert np.all(params.conv[0].gain == 1.0) and np.all(params.conv[0].shift == 0.0)
-    for bi in params.vis_rnn:
-        for p in (bi.fwd, bi.bwd):
+    for layers in params.vis_rnn:
+        for p in layers:
             assert np.all(p.b[hs : 2 * hs] == 1.0)
             assert np.all(p.b[:hs] == 0.0) and np.all(p.b[2 * hs :] == 0.0)
     assert np.all(params.lm_rnn[0].b[hs : 2 * hs] == 1.0)
@@ -648,8 +648,8 @@ def test_hoisted_bptt_matches_per_step_accumulation(reverse):
     summing outer products step by step. The backward direction is direction
     1 of a two-direction scan."""
     cfg = tiny_model_config()
-    bi = md.init_params(cfg, seed=12).vis_rnn[0]
-    layers, d = ((bi.fwd, bi.bwd), 1) if reverse else ((bi.fwd,), 0)
+    both = md.init_params(cfg, seed=12).vis_rnn[0]
+    layers, d = (both, 1) if reverse else (both[:1], 0)
     p, hs, n = layers[d], layers[d].hidden_size, 9
     rng = np.random.default_rng(13)
     seq = rng.normal(size=(n, p.w_x.shape[1]))
@@ -658,8 +658,7 @@ def test_hoisted_bptt_matches_per_step_accumulation(reverse):
     _, run = md._run_lstm(seq, layers)
 
     def shells():
-        grads = md.zero_grads_shell(md.init_params(cfg, seed=12)).vis_rnn[0]
-        return (grads.fwd, grads.bwd)[: len(layers)]
+        return md.zero_grads_shell(md.init_params(cfg, seed=12)).vis_rnn[0][: len(layers)]
 
     hoisted = shells()
     grad_seq = md._run_lstm_backward(grad_out, run, layers, hoisted)

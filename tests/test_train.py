@@ -304,9 +304,9 @@ def test_train_run_aborts_on_divergence_with_identifiers(tmp_path, monkeypatch):
     args = toy_setup(tmp_path, "diverge")
 
     def poisoned(sample, labels, params, model_cfg, inv_batch, grads):
-        return float("nan"), md.zero_grads_shell(params)
+        return float("nan")
 
-    monkeypatch.setattr(tr, "_example_loss_grads", poisoned)
+    monkeypatch.setattr(tr, "_example_loss", poisoned)
     with pytest.raises(TrainingError, match=r"epoch 1.*samples"):
         tr.train_run(*args, clock=FakeClock())
 
@@ -317,7 +317,7 @@ def test_train_run_wraps_forward_failures_with_identifiers(tmp_path, monkeypatch
     def broken(sample, labels, params, model_cfg, inv_batch, grads):
         raise UsageError("boom")
 
-    monkeypatch.setattr(tr, "_example_loss_grads", broken)
+    monkeypatch.setattr(tr, "_example_loss", broken)
     with pytest.raises(TrainingError, match=r"epoch 1.*boom"):
         tr.train_run(*args, clock=FakeClock())
 
@@ -340,28 +340,25 @@ def test_train_run_names_the_epoch_when_validation_logits_overflow(tmp_path, mon
         tr.train_run(*args, clock=FakeClock())
 
 
-def test_batch_gradient_is_the_sum_of_fresh_example_gradients(tmp_path, monkeypatch):
-    """The reused example and batch buffers give what fresh shells would:
-    every Adam step sees the sum, in batch order, of each example's gradient
-    computed into zeros."""
+def test_batch_gradient_is_the_batch_added_into_one_fresh_shell(tmp_path, monkeypatch):
+    """The run's one reused gradient buffer gives what a fresh shell would:
+    every Adam step sees, bitwise, the batch's examples added in batch order
+    into one zero_grads_shell."""
     args = toy_setup(tmp_path, "sum")
-    real_example, real_adam = tr._example_loss_grads, tr.adam_step
+    real_example, real_adam = tr._example_loss, tr.adam_step
     fresh, checked = [], []
 
     def example(sample, labels, params, model_cfg, inv_batch, grads):
-        shell = md.zero_grads_shell(params)
-        fresh.append(real_example(sample, labels, params, model_cfg, inv_batch, shell)[1].flat)
+        if not fresh:  # the batch's first example
+            fresh.append(md.zero_grads_shell(params))
+        real_example(sample, labels, params, model_cfg, inv_batch, fresh[0])
         return real_example(sample, labels, params, model_cfg, inv_batch, grads)
 
     def adam(params, grads, opt, lr, clip_norm):
-        total = np.zeros_like(grads.flat)
-        for g in fresh:
-            total += g
-        checked.append(np.array_equal(grads.flat, total))
-        fresh.clear()
+        checked.append(np.array_equal(grads.flat, fresh.pop().flat))
         return real_adam(params, grads, opt, lr, clip_norm=clip_norm)
 
-    monkeypatch.setattr(tr, "_example_loss_grads", example)
+    monkeypatch.setattr(tr, "_example_loss", example)
     monkeypatch.setattr(tr, "adam_step", adam)
     tr.train_run(*args, clock=FakeClock())
     assert len(checked) == 6 and all(checked)
