@@ -167,16 +167,20 @@ def _affine_sample(image: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     sr = np.clip(np.add.outer(inv[0, 0] * ry + cy, inv[0, 1] * rx), -1.0, h)
     sc = np.clip(np.add.outer(inv[1, 0] * ry + cx, inv[1, 1] * rx), -1.0, w)
     r0, c0 = np.floor(sr), np.floor(sc)
-    fr, fc = sr - r0, sc - c0
+    sr -= r0  # the fractions
+    sc -= c0
     stride = w + 3  # the copy spans rows -1 .. h + 1 and columns -1 .. w + 1
     bordered = np.zeros((h + 3, stride))
     bordered[1 : h + 1, 1 : w + 1] = image
     flat = bordered.ravel()
-    at = (r0.astype(np.intp) + 1) * stride + c0.astype(np.intp) + 1
-    top, bottom = flat[at], flat[at + stride]
-    top += (flat[at + 1] - top) * fc
-    bottom += (flat[at + stride + 1] - bottom) * fc
-    top += (bottom - top) * fr
+    r0 *= stride
+    r0 += c0
+    at = r0.astype(np.intp)
+    at += stride + 1
+    top, bottom = flat[at], flat[stride:][at]  # views offset by a row, a column, both
+    top += (flat[1:][at] - top) * sc
+    bottom += (flat[stride + 1 :][at] - bottom) * sc
+    top += (bottom - top) * sr
     return top
 
 

@@ -15,13 +15,13 @@ softmax * occupancy - gamma directly (Li et al. 2019, arXiv 1909.12415). They
 are validated against full enumeration (the oracles module), never trusted
 on their own.
 
-Both recurrences run as one anti-diagonal wavefront (Graves 2012, arXiv
+Both recurrences run in one anti-diagonal wavefront loop (Graves 2012, arXiv
 1211.3711): the nodes with t+u = n depend only on diagonal n-1, so each
-diagonal is one vector step, and beta is alpha's recurrence run from the far
-corner over the transition tables reversed in both axes. Every node runs the
-scalar recurrence's adds and logaddexp in the same operand order, and
-logaddexp(x, -inf) is exactly x, so the results are bitwise equal to the
-node-by-node recurrence.
+diagonal is one vector step, and beta is alpha's recurrence, stepped beside
+it, from the far corner over the transition tables reversed in both axes.
+Every node runs the scalar recurrence's adds and logaddexp in the same
+operand order, and logaddexp(x, -inf) is exactly x, so the results are
+bitwise equal to the node-by-node recurrence.
 
 Indexing is zero-based throughout: t in [0, T), u in [0, U].
 """
@@ -140,16 +140,16 @@ def _unskewed(skew: np.ndarray, t_total: int) -> np.ndarray:
     return skew[np.arange(t_total)[:, None] + u, u]
 
 
-def _wavefront(start: float, blank: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """The diagonal-major table of table[0, 0] = start and, per diagonal n,
+def _wavefront(start: np.ndarray, blank: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The diagonal-major table of table[0] = start and, per diagonal n,
     table[n] = logaddexp(table[n-1] + blank[n-1], table[n-1, :-1] + label[n-1]
     shifted one column right). On _diagonal_transitions' tables this is alpha;
-    on the tables reversed in both axes it is beta, reversed likewise."""
-    rows = blank.shape[1]
-    table = np.full((len(blank) + 1, rows), NEG_INF)
-    table[0, 0] = start
-    stay, move = np.empty(rows), np.full(rows, NEG_INF)  # move[0]: nothing enters column 0
-    for n in range(1, len(table)):
+    on the tables reversed in both axes it is beta, reversed likewise. Both
+    run in one loop side by side, with a -inf label column between them."""
+    table = np.empty((len(blank) + 1, blank.shape[1]))
+    table[0] = start
+    stay, move = np.empty(blank.shape[1]), np.full(blank.shape[1], NEG_INF)
+    for n in range(1, len(table)):  # move[0]: nothing enters column 0
         np.add(table[n - 1], blank[n - 1], out=stay)
         np.add(table[n - 1, :-1], label[n - 1], out=move[1:])
         np.logaddexp(stay, move, out=table[n])
@@ -173,9 +173,13 @@ def rnnt_alphabeta(blank: np.ndarray, label: np.ndarray) -> AlphaBetaTables:
         raise UsageError(f"transition tables of shapes {blank.shape} and {label.shape} "
                          "are not (T, U+1) and (T, U) with T >= 1")
     skew_blank, skew_label = _diagonal_transitions(blank, label)
-    alpha = _wavefront(0.0, skew_blank[:-1], skew_label[:-1])
-    beta = _wavefront(skew_blank[-1, -1], skew_blank[-2::-1, ::-1],
-                      skew_label[-2::-1, ::-1])[::-1, ::-1]
+    rows, back = blank.shape[1], np.s_[-2::-1, ::-1]
+    start = np.full(2 * rows, NEG_INF)
+    start[0], start[rows] = 0.0, skew_blank[-1, -1]
+    table = _wavefront(start, np.hstack((skew_blank[:-1], skew_blank[back])),
+                       np.hstack((skew_label[:-1], np.full((len(blank) + rows - 2, 1), NEG_INF),
+                                  skew_label[back])))
+    alpha, beta = table[:, :rows], table[::-1, rows:][:, ::-1]
     return AlphaBetaTables(alpha=_unskewed(alpha, len(blank)), beta=_unskewed(beta, len(blank)),
                            log_prob=float(alpha[-1, -1] + skew_blank[-1, -1]),
                            blank=blank, label=label)

@@ -8,7 +8,8 @@ and nothing more (inference keeps none); `backward_pass` consumes the cache
 and the loss gradient at the two transition tables of `lattice.rnnt_grad`,
 and produces gradients for every parameter tensor. Both run the joint and
 the loss kernels over cache-sized blocks of frames, so no (T, U+1, K+1)
-array outlives its block; the backward recomputes each block. Label ids
+array outlives its block; the forward keeps the joint's (T, U+1, E) tanh,
+and the backward recomputes each block's logits from it. Label ids
 are checked once, by `lattice.check_label_ids`. Checkpoint serialization
 lives here too since its payload is exactly the parameter buffer.
 """
@@ -521,6 +522,7 @@ class ForwardCache:
     linguistic: LinguisticCache
     feats: np.ndarray  # (T, encoded)
     ctx: np.ndarray  # (U+1, encoded)
+    joint_tanh: np.ndarray | None  # (T, U+1, encoded): tanh(f + g + b); backward_pass takes it
     peak: np.ndarray  # (T, U+1): each node's max logit
     log_norm: np.ndarray  # (T, U+1): each node's log sum exp(logit - peak)
 
@@ -535,10 +537,11 @@ def _frame_blocks(t_total: int, frame_elements: int):
     return [slice(t, min(t + step, t_total)) for t in range(0, t_total, step)]
 
 
-def _joint_block(feats: np.ndarray, ctx: np.ndarray, params: ModelParams):
-    """(tanh(f + g + b) (n, U+1, E), raw logits (n, U+1, K+1)) of frames (n, E)
-    against every context row (U+1, E): joint's operations before the softmax."""
-    v = np.add(feats[:, None, :], ctx)
+def _joint_block(feats: np.ndarray, ctx: np.ndarray, params: ModelParams, out=None):
+    """(tanh(f + g + b) (n, U+1, E), in ``out`` if given, and raw logits (n,
+    U+1, K+1)) of frames (n, E) against every context row (U+1, E): joint's
+    operations before the softmax."""
+    v = np.add(feats[:, None, :], ctx, out=out)
     v += params.joint_bias
     np.tanh(v, out=v)
     with np.errstate(over="ignore", invalid="ignore"):  # node_log_probs reports them
@@ -548,18 +551,20 @@ def _joint_block(feats: np.ndarray, ctx: np.ndarray, params: ModelParams):
 def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
     """Full forward pass: the (blank (T, U+1), label (T, U)) transition tables
     that lattice.rnnt_alphabeta takes, and the ForwardCache. The joint runs
-    over blocks of frames (_frame_blocks), and lattice.node_log_probs
-    normalizes each block and keeps its nodes' normalizers in the cache."""
+    over blocks of frames (_frame_blocks) and keeps its tanh for the backward;
+    lattice.node_log_probs normalizes each block and keeps its nodes'
+    normalizers in the cache."""
     feats, vis_cache = visual_encode_cached(image, params, config)
     ctx, lm_cache = linguistic_encode_cached(labels, params, config)
     labels = np.array(lm_cache.ids[1:], dtype=np.intp)
     t_total, rows, classes = feats.shape[0], ctx.shape[0], params.joint_w.shape[0]
     blank, label = np.empty((t_total, rows)), np.empty((t_total, rows - 1))
     peak, log_norm = np.empty((2, t_total, rows))
+    tanh = np.empty((t_total, rows, feats.shape[1]))
     for block in _frame_blocks(t_total, rows * classes):
-        logits = _joint_block(feats[block], ctx, params)[1]
+        logits = _joint_block(feats[block], ctx, params, out=tanh[block])[1]
         blank[block], label[block], peak[block], log_norm[block] = node_log_probs(logits, labels)
-    return (blank, label), ForwardCache(vis_cache, lm_cache, feats, ctx, peak, log_norm)
+    return (blank, label), ForwardCache(vis_cache, lm_cache, feats, ctx, tanh, peak, log_norm)
 
 
 def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
@@ -568,10 +573,11 @@ def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
     grad_label (T, U)) tables, added into ``grads`` (a zero_grads_shell of
     ``params``, say), which is returned.
 
-    Over forward_lattice's blocks of frames, each block's joint is recomputed,
-    lattice.logit_grad forms its logit gradient from the cached normalizers,
-    and the two joint GEMMs split it into the joint-bias, visual (sum over u)
-    and linguistic (sum over t) gradients.
+    Over forward_lattice's blocks of frames, each block's logits are
+    recomputed from the cached tanh (taken out of the cache, so a cache
+    serves one backward_pass), lattice.logit_grad forms their gradient from
+    the cached normalizers, and the two joint GEMMs split it into the
+    joint-bias, visual (sum over u) and linguistic (sum over t) gradients.
     """
     t_total, rows = cache.peak.shape
     shapes = tuple(np.shape(g) for g in grad_tables)
@@ -581,14 +587,17 @@ def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
     classes, enc = params.joint_w.shape
     if cache.feats.shape[1] != enc:
         raise UsageError("cache does not belong to these parameters")
+    joint_tanh, cache.joint_tanh = cache.joint_tanh, None
+    if joint_tanh is None:
+        raise UsageError("backward_pass has already consumed this forward cache")
     grad_blank, grad_label = grad_tables
     labels = np.array(cache.linguistic.ids[1:], dtype=np.intp)
     grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
     for block in _frame_blocks(t_total, rows * classes):
-        v, logits = _joint_block(cache.feats[block], cache.ctx, params)
-        d_logits = logit_grad(logits, cache.peak[block], cache.log_norm[block],
-                              grad_blank[block], grad_label[block], labels).reshape(-1, classes)
-        v = v.reshape(-1, enc)
+        d_logits = logit_grad(joint_tanh[block] @ params.joint_w.T, cache.peak[block],
+                              cache.log_norm[block], grad_blank[block], grad_label[block],
+                              labels).reshape(-1, classes)
+        v = joint_tanh[block].reshape(-1, enc)
         grads.joint_w += d_logits.T @ v
         ds = d_logits @ params.joint_w
         ds *= 1.0 - v * v
@@ -596,7 +605,7 @@ def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
         grads.joint_bias += ds.sum(axis=(0, 1))
         grad_feats[block] = ds.sum(axis=1)
         grad_ctx += ds.sum(axis=0)
-    del v, logits, d_logits, ds  # the last block's, before the encoders' backward
+    del joint_tanh, v, d_logits, ds  # before the encoders' backward
     _visual_backward(grad_feats, cache.visual, params, config, grads)
     _linguistic_backward(grad_ctx, cache.linguistic, params, config, grads)
     return grads

@@ -150,28 +150,34 @@ def conv2d(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def conv2d_backward(grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray, *,
                     need_grad_x: bool = True):
     """Returns (grad_x, grad_weights) for conv2d; grad_x is None when the
-    caller says it needs none. The columns are rebuilt from x rather
-    than held from the forward through the whole network; grad_x folds the
-    column gradient back with one strided add per offset."""
+    caller says it needs none. The columns are rebuilt from x rather than
+    held from the forward through the whole network. grad_out widened by
+    zero columns (exact zero products) to the padded width wp makes each
+    offset's fold into the flat padded grad_x one contiguous add."""
     c_out, c_in, kh, kw = weights.shape
     _, h, w = x.shape
-    g = grad_out.reshape(c_out, h * w)
-    grad_w = (g @ _columns(x, kh, kw).T).reshape(weights.shape)
+    grad_w = (grad_out.reshape(c_out, h * w) @ _columns(x, kh, kw).T).reshape(weights.shape)
     if not need_grad_x:
         return None, grad_w
-    grad_cols = (weights.reshape(c_out, -1).T @ g).reshape(c_in, kh, kw, h, w)
-    grad_xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
+    wp = w + kw - 1
+    g = np.zeros((c_out, h, wp))
+    g[:, :, :w] = grad_out
+    grad_cols = (weights.reshape(c_out, -1).T @ g.reshape(c_out, -1)).reshape(c_in, kh, kw, -1)
+    grad_xp = np.zeros((c_in, h + kh, wp))  # a spare row: the last run ends kw - 1 past
+    flat = grad_xp.reshape(c_in, -1)
     for dy, dx in np.ndindex(kh, kw):
-        grad_xp[:, dy : dy + h, dx : dx + w] += grad_cols[:, dy, dx]
+        flat[:, dy * wp + dx : dy * wp + dx + h * wp] += grad_cols[:, dy, dx]
     return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w
 
 
-def _merge(acc: np.ndarray, part: np.ndarray, argmax=None, k: int = 0) -> None:
+def _merge(acc: np.ndarray, part: np.ndarray, argmax=None, k=0) -> None:
     """acc = max(acc, part) over part's extent, a leading corner of acc; with
-    ``argmax``, k goes to its corner where part is strictly larger."""
+    ``argmax``, k (of its dtype) goes to its corner where part is strictly
+    larger, as a max, since slices merge in increasing k."""
     corner = acc[:, : part.shape[1], : part.shape[2]]
     if argmax is not None:
-        np.copyto(argmax[:, : part.shape[1], : part.shape[2]], k, where=part > corner)
+        at = argmax[:, : part.shape[1], : part.shape[2]]
+        np.maximum(at, (part > corner) * k, out=at)
     np.maximum(corner, part, out=corner)
 
 
@@ -183,10 +189,11 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True)
     merged into that corner. Returns (pooled, argmax): the running maximum
     over the slices and the within-window index dy * pw + dx of the first
     (row-major) maximum, since only a strictly larger value moves it; that
-    keeps the backward pass deterministic. Without need_argmax, argmax is
-    None and the windows are reduced over their rows, then over their
-    columns: ph + pw - 2 merges in place of ph * pw - 1, with the same
-    values, since max rounds nothing.
+    keeps the backward pass deterministic. Its dtype is the smallest unsigned
+    one that holds ph * pw - 1. Without need_argmax, argmax is None and the
+    windows are reduced over their rows, then over their columns: ph + pw - 2
+    merges in place of ph * pw - 1, with the same values, since max rounds
+    nothing.
     """
     ph, pw = pool
     if not need_argmax:
@@ -198,9 +205,9 @@ def maxpool2d(x: np.ndarray, pool: tuple[int, int], *, need_argmax: bool = True)
             _merge(pooled, rows[:, :, dx::pw])
         return pooled, None
     pooled = x[:, ::ph, ::pw].copy()
-    argmax = np.zeros(pooled.shape, dtype=np.intp)
+    argmax = np.zeros(pooled.shape, dtype=np.min_scalar_type(ph * pw - 1))
     for k in range(1, ph * pw):
-        _merge(pooled, x[:, k // pw :: ph, k % pw :: pw], argmax, k)
+        _merge(pooled, x[:, k // pw :: ph, k % pw :: pw], argmax, argmax.dtype.type(k))
     return pooled, argmax
 
 

@@ -19,8 +19,12 @@ Areas:
   on random lattices;
 - checkpoint: the bytes of a checkpoint saved after two Adam steps.
 
-A last line, src_lines, counts the lines of the tree's linerec package the
-way bench/envinfo.py does: the sum of splitlines() over src/linerec/*.py.
+Two lines follow the digests. blas_threads is the thread count of the
+OpenBLAS bundled with numpy, asked of the library as bench/envinfo.py asks
+it: the training digests depend on it, so quote them with it (run with
+OPENBLAS_NUM_THREADS=1 to compare trees on any machine). The last line,
+src_lines, counts the lines of the tree's linerec package the way
+bench/envinfo.py does: the sum of splitlines() over src/linerec/*.py.
 
 It calls only long-standing public functions with their long-standing
 signatures, so the same script runs against an older tree. The full case set
@@ -29,6 +33,7 @@ takes a few seconds; digests(reduced=True) is a smaller one for the tests.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import tempfile
 from dataclasses import replace
@@ -166,6 +171,20 @@ def digests(reduced: bool = False) -> dict:
             "checkpoint": checkpoint()}
 
 
+def blas_threads() -> int | None:
+    """Threads the OpenBLAS bundled with numpy will use, or None where numpy
+    bundles none, by bench/envinfo.py's query."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            query = getattr(handle, symbol, None)
+            if query is not None:
+                query.restype, query.argtypes = ctypes.c_int, []
+                return query()
+    return None
+
+
 def src_lines() -> int:
     """Lines of the imported linerec package, by bench/envinfo.py's rule."""
     return sum(len(p.read_text(encoding="utf-8").splitlines())
@@ -175,6 +194,7 @@ def src_lines() -> int:
 def main() -> None:
     for area, digest in digests().items():
         print(f"{area:<11} {digest}")
+    print(f"{'blas_threads':<11} {blas_threads()}")
     print(f"{'src_lines':<11} {src_lines()}")
 
 

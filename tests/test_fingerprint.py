@@ -23,7 +23,18 @@ def test_the_script_ends_with_the_package_line_count(monkeypatch, capsys):
     count = sum(len(p.read_text(encoding="utf-8").splitlines())
                 for p in Path(linerec.__file__).parent.glob("*.py"))
     assert capsys.readouterr().out.splitlines() == [f"training    {'0' * 64}",
+                                                    f"blas_threads {fingerprint.blas_threads()}",
                                                     f"src_lines   {count}"]
+
+
+def test_the_blas_thread_count_is_the_one_requested():
+    code = "import fingerprint; print(fingerprint.blas_threads())"
+    path = os.pathsep.join([str(Path(fingerprint.__file__).parent),
+                            str(Path(linerec.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.stdout.split() == ["1"]
 
 
 def test_decoding_does_not_depend_on_the_blas_thread_count():

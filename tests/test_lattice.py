@@ -257,6 +257,29 @@ def scalar_alpha_beta(lat, labels):
     return alpha, beta, float(alpha[-1, -1] + blank[-1, -1])
 
 
+def two_loop_alpha_beta(blank, label):
+    """alpha and beta as two wavefront loops, one after the other, each over
+    its own (U+1)-wide diagonals: the form the one loop replaced."""
+    skew_blank, skew_label = lt._diagonal_transitions(blank, label)
+
+    def wavefront(start, blank, label):
+        rows = blank.shape[1]
+        table = np.full((len(blank) + 1, rows), -np.inf)
+        table[0, 0] = start
+        stay, move = np.empty(rows), np.full(rows, -np.inf)
+        for n in range(1, len(table)):
+            np.add(table[n - 1], blank[n - 1], out=stay)
+            np.add(table[n - 1, :-1], label[n - 1], out=move[1:])
+            np.logaddexp(stay, move, out=table[n])
+        return table
+
+    alpha = wavefront(0.0, skew_blank[:-1], skew_label[:-1])
+    beta = wavefront(skew_blank[-1, -1], skew_blank[-2::-1, ::-1],
+                     skew_label[-2::-1, ::-1])[::-1, ::-1]
+    return (lt._unskewed(alpha, len(blank)), lt._unskewed(beta, len(blank)),
+            float(alpha[-1, -1] + skew_blank[-1, -1]))
+
+
 @pytest.mark.parametrize("t,u,k", [(1, 0, 3), (4, 0, 2), (2, 1, 1), (1, 3, 4), (3, 7, 5),
                                    (6, 4, 1), (11, 5, 12), (145, 60, 80)])
 def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
@@ -268,6 +291,10 @@ def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
     assert np.array_equal(tables.alpha, alpha)
     assert np.array_equal(tables.beta, beta)
     assert tables.log_prob == log_prob
+    two_loops = two_loop_alpha_beta(*transitions(lat, labels))
+    assert np.array_equal(tables.alpha, two_loops[0])
+    assert np.array_equal(tables.beta, two_loops[1])
+    assert tables.log_prob == two_loops[2]
 
 
 # --- gradients -----------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 from linerec import model as md
 from linerec.cli import default_model_config, load_run_config
 from linerec.errors import ConfigError, UsageError
-from linerec.lattice import (BLANK, NEG_INF, Vocab, check_label_ids, loss_and_logit_grad,
-                             rnnt_alphabeta, rnnt_grad)
+from linerec.lattice import (BLANK, NEG_INF, Vocab, check_label_ids, logit_grad,
+                             loss_and_logit_grad, rnnt_alphabeta, rnnt_grad)
 from linerec.oracles import fd_grad, rel_err, rnnt_loss_brute, tiny_model_config
 
 
@@ -384,8 +384,12 @@ def test_forward_lattice_shape_and_normalization():
     image = np.random.default_rng(2).random((4, 6))
     (blank, label), cache = md.forward_lattice(image, (1, 2), params, cfg)
     assert blank.shape == (3, 3) and label.shape == (3, 2)
-    # the cache keeps (T, U+1) normalizers, and no (T, U+1, K+1) or (T, U+1, E) array
-    assert set(vars(cache)) == {"visual", "linguistic", "feats", "ctx", "peak", "log_norm"}
+    # the cache keeps (T, U+1) normalizers and the joint's (T, U+1, E) tanh, and no
+    # (T, U+1, K+1) array
+    assert set(vars(cache)) == {"visual", "linguistic", "feats", "ctx", "joint_tanh", "peak",
+                                "log_norm"}
+    assert cache.joint_tanh.shape == (3, 3, cfg.encoded_size)
+    assert np.array_equal(cache.joint_tanh, md._joint_block(cache.feats, cache.ctx, params)[0])
     logits = md._joint_block(cache.feats, cache.ctx, params)[1]
     log_probs = logits - cache.peak[..., None] - cache.log_norm[..., None]
     mass = np.log(np.sum(np.exp(log_probs), axis=-1))
@@ -622,6 +626,7 @@ def test_training_joint_memory_stays_far_below_the_lattice():
         tracemalloc.stop()
     assert blank.shape == (145, 61)
     assert peak - start < lattice_bytes / 4
+    assert cache.joint_tanh is None  # released by the backward
 
 
 def test_embedding_gradient_sums_repeated_label_ids():
@@ -686,14 +691,72 @@ def test_backward_pass_adds_into_the_given_gradients():
     cfg = tiny_model_config()
     params = md.init_params(cfg, seed=16)
     labels = (1, 2)
-    (blank, label), cache = md.forward_lattice(np.random.default_rng(17).random((4, 6)),
-                                               labels, params, cfg)
+
+    def forward():
+        return md.forward_lattice(np.random.default_rng(17).random((4, 6)), labels, params, cfg)
+
+    (blank, label), cache = forward()
     tables = rnnt_grad(rnnt_alphabeta(blank, label))
     fresh = md.backward_pass(tables, cache, params, cfg, md.zero_grads_shell(params))
     given = md.zero_grads_shell(params)
     given.flat[...] = 1.0
-    assert md.backward_pass(tables, cache, params, cfg, given) is given
+    assert md.backward_pass(tables, forward()[1], params, cfg, given) is given
     assert np.array_equal(given.flat, 1.0 + fresh.flat)
+
+
+def test_a_forward_cache_serves_one_backward_pass():
+    cfg = tiny_model_config()
+    params = md.init_params(cfg, seed=16)
+    (blank, label), cache = md.forward_lattice(np.random.default_rng(17).random((4, 6)),
+                                               (1, 2), params, cfg)
+    tables = rnnt_grad(rnnt_alphabeta(blank, label))
+    grads = md.backward_pass(tables, cache, params, cfg, md.zero_grads_shell(params))
+    before = grads.flat.copy()
+    with pytest.raises(UsageError, match="^backward_pass has already consumed this forward cache$"):
+        md.backward_pass(tables, cache, params, cfg, grads)
+    assert np.array_equal(grads.flat, before)
+
+
+def _backward_pass_recomputing_the_tanh(grad_tables, cache, params, cfg, grads):
+    """backward_pass as it was before the forward kept the joint's tanh: each
+    block's tanh(f + g + b) and logits recomputed by _joint_block."""
+    t_total, rows = cache.peak.shape
+    classes, enc = params.joint_w.shape
+    grad_blank, grad_label = grad_tables
+    labels = np.array(cache.linguistic.ids[1:], dtype=np.intp)
+    grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
+    for block in md._frame_blocks(t_total, rows * classes):
+        v, logits = md._joint_block(cache.feats[block], cache.ctx, params)
+        d_logits = logit_grad(logits, cache.peak[block], cache.log_norm[block],
+                              grad_blank[block], grad_label[block], labels).reshape(-1, classes)
+        v = v.reshape(-1, enc)
+        grads.joint_w += d_logits.T @ v
+        ds = d_logits @ params.joint_w
+        ds *= 1.0 - v * v
+        ds = ds.reshape(-1, rows, enc)
+        grads.joint_bias += ds.sum(axis=(0, 1))
+        grad_feats[block] = ds.sum(axis=1)
+        grad_ctx += ds.sum(axis=0)
+    md._visual_backward(grad_feats, cache.visual, params, cfg, grads)
+    md._linguistic_backward(grad_ctx, cache.linguistic, params, cfg, grads)
+    return grads
+
+
+@pytest.mark.parametrize("k,width,glyphs", [(12, 97, 4), (80, 1160, 60)])
+def test_backward_from_the_kept_tanh_is_bitwise_the_recomputed_one(k, width, glyphs):
+    """An s1 line at K=12 and one of the long-line benchmark's length at K=80,
+    over several blocks of frames."""
+    cfg = s1_config(vocab_size=k)
+    params = md.init_params(cfg, seed=k)
+    rng = np.random.default_rng(width)
+    image = rng.random((cfg.input_height, width))
+    labels = tuple(int(x) for x in rng.integers(1, k + 1, size=glyphs))
+    (blank, label), cache = md.forward_lattice(image, labels, params, cfg)
+    grad_tables = rnnt_grad(rnnt_alphabeta(blank, label))
+    reference = _backward_pass_recomputing_the_tanh(grad_tables, cache, params, cfg,
+                                                    md.zero_grads_shell(params))
+    grads = md.backward_pass(grad_tables, cache, params, cfg, md.zero_grads_shell(params))
+    assert np.array_equal(grads.flat, reference.flat)
 
 
 def model_gradient_error(image, labels, params, cfg):

@@ -329,6 +329,36 @@ def test_im2col_conv_matches_shifted_tensordot(c_in, h, w, k):
         assert a.shape == b.shape and rel_err(a, b) <= 1e-12, name
 
 
+def _conv2d_backward_strided_fold(grad_out, x, weights):
+    """conv2d_backward with the column gradient taken on the unpadded width
+    and folded back by one strided 3-D add per offset: the form the flat fold
+    replaced."""
+    c_out, c_in, kh, kw = weights.shape
+    _, h, w = x.shape
+    g = grad_out.reshape(c_out, h * w)
+    grad_w = (g @ nm._columns(x, kh, kw).T).reshape(weights.shape)
+    grad_cols = (weights.reshape(c_out, -1).T @ g).reshape(c_in, kh, kw, h, w)
+    grad_xp = np.zeros((c_in, h + kh - 1, w + kw - 1))
+    for dy, dx in np.ndindex(kh, kw):
+        grad_xp[:, dy : dy + h, dx : dx + w] += grad_cols[:, dy, dx]
+    return grad_xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], grad_w
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,k", [
+    (1, 4, 5, 7, 1), (1, 4, 1, 9, 3), (3, 4, 7, 1, 3), (3, 4, 9, 13, 3), (1, 4, 6, 11, 5),
+    (3, 4, 1, 1, 5),  # the shapes of test_im2col_conv_matches_shifted_tensordot
+    (8, 16, 16, 49, 3), (8, 16, 16, 50, 3), (16, 32, 8, 25, 3), (16, 32, 8, 26, 3),
+])  # and s1 block 1 and 2 maps of odd and even width
+def test_flat_fold_is_bitwise_the_strided_fold(c_in, c_out, h, w, k):
+    rng = np.random.default_rng(c_in + h + w + k)
+    x, grad_out = rng.normal(size=(c_in, h, w)), rng.normal(size=(c_out, h, w))
+    weights = rng.normal(size=(c_out, c_in, k, k))
+    grad_x, grad_w = nm.conv2d_backward(grad_out, x, weights)
+    ref_x, ref_w = _conv2d_backward_strided_fold(grad_out, x, weights)
+    assert grad_x.shape == ref_x.shape and np.array_equal(grad_x, ref_x)
+    assert np.array_equal(grad_w, ref_w)
+
+
 def test_conv2d_backward_without_input_gradient_keeps_the_weight_gradients():
     rng = np.random.default_rng(47)
     x, weights = rng.normal(size=(1, 6, 11)), rng.normal(size=(4, 1, 3, 3))
@@ -340,7 +370,8 @@ def test_conv2d_backward_without_input_gradient_keeps_the_weight_gradients():
 
 
 POOL_CASES = [((8, 12), (2, 2)), ((7, 9), (2, 2)), ((16, 6), (8, 2)), ((11, 5), (8, 2)),
-              ((9, 8), (3, 2)), ((10, 7), (3, 2)), ((5, 3), (1, 1)), ((1, 1), (2, 2))]
+              ((9, 8), (3, 2)), ((10, 7), (3, 2)), ((5, 3), (1, 1)), ((1, 1), (2, 2)),
+              ((32, 40), (32, 16))]  # 512 cells a window: an argmax wider than a byte
 
 
 def _tie_heavy(rng, shape):
@@ -361,6 +392,32 @@ def test_slice_pooling_is_bitwise_equal_to_window_argmax(hw, pool):
         grad_out = rng.normal(size=pooled.shape)
         assert np.array_equal(nm.maxpool2d_backward(grad_out, argmax, x.shape, pool),
                               _maxpool2d_backward_reference(grad_out, argmax, x.shape, pool))
+
+
+def _maxpool2d_masked_copy(x, pool):
+    """The slice pooling with the argmax merged by a masked copy of k where a
+    slice is strictly larger, into an intp map: the form the byte-sized
+    argmax's max replaced."""
+    ph, pw = pool
+    pooled = x[:, ::ph, ::pw].copy()
+    argmax = np.zeros(pooled.shape, dtype=np.intp)
+    for k in range(1, ph * pw):
+        part = x[:, k // pw :: ph, k % pw :: pw]
+        corner = pooled[:, : part.shape[1], : part.shape[2]]
+        np.copyto(argmax[:, : part.shape[1], : part.shape[2]], k, where=part > corner)
+        np.maximum(corner, part, out=corner)
+    return pooled, argmax
+
+
+@pytest.mark.parametrize("hw,pool", POOL_CASES)
+def test_argmax_by_max_is_bitwise_the_masked_copy(hw, pool):
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        x = _tie_heavy(rng, (3, *hw))
+        pooled, argmax = nm.maxpool2d(x, pool)
+        ref_pooled, ref_argmax = _maxpool2d_masked_copy(x, pool)
+        assert argmax.dtype == np.min_scalar_type(pool[0] * pool[1] - 1)
+        assert np.array_equal(pooled, ref_pooled) and np.array_equal(argmax, ref_argmax)
 
 
 @pytest.mark.parametrize("hw,pool", POOL_CASES)
