@@ -273,13 +273,14 @@ class ConvBlockCache:
     """Backward inputs of one _conv_block. Its argmax is the normalized map's
     first-max position (a zero-gain channel's is the centred map's), and relu
     commutes with max pooling (same values, same first-max position where the
-    window's max is positive, zero gradient elsewhere), so ``pooled`` is the
-    relu input."""
+    window's max is positive, zero gradient elsewhere), so the relu runs in
+    place on the pooled map: ``pooled`` is the block's output, positive
+    exactly where the relu input was, which is all the relu's backward reads."""
 
     x_in: np.ndarray
     xhat: np.ndarray  # channel_norm's standardized map
     inv_std: np.ndarray  # (C,)
-    pooled: np.ndarray  # pre-relu
+    pooled: np.ndarray  # the block's output: the next x_in, or the BiLSTM's input
     argmax: np.ndarray
 
 
@@ -369,7 +370,7 @@ def _conv_block(x: np.ndarray, p: ConvBlockParams, pool, blocks: list | None) ->
     adds no bias (the norm cancels it) and negates the channels of negative
     gain, since max pooling commutes with a positive scale only. channel_norm
     centres its output in place, the pool reduces the centred map, and the
-    norm's affine and the relu touch the pooled map only. With ``blocks``
+    norm's affine and the relu run in place on the pooled map. With ``blocks``
     given, the pool also keeps its argmax, the centred map is scaled into
     xhat in place, and the block's ConvBlockCache goes to ``blocks``."""
     sign = np.where(p.gain < 0.0, -1.0, 1.0)
@@ -381,7 +382,7 @@ def _conv_block(x: np.ndarray, p: ConvBlockParams, pool, blocks: list | None) ->
     if blocks is not None:
         z *= (sign * inv_std)[:, None, None]
         blocks.append(ConvBlockCache(x, z, inv_std, pooled, argmax))
-    return np.maximum(pooled, 0.0)
+    return np.maximum(pooled, 0.0, out=pooled)
 
 
 def _conv_block_backward(grad_out: np.ndarray, cache: ConvBlockCache, p: ConvBlockParams,
@@ -521,7 +522,6 @@ class ForwardCache:
     visual: VisualCache
     linguistic: LinguisticCache
     feats: np.ndarray  # (T, encoded)
-    ctx: np.ndarray  # (U+1, encoded)
     joint_tanh: np.ndarray | None  # (T, U+1, encoded): tanh(f + g + b); backward_pass takes it
     peak: np.ndarray  # (T, U+1): each node's max logit
     log_norm: np.ndarray  # (T, U+1): each node's log sum exp(logit - peak)
@@ -564,7 +564,7 @@ def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
     for block in _frame_blocks(t_total, rows * classes):
         logits = _joint_block(feats[block], ctx, params, out=tanh[block])[1]
         blank[block], label[block], peak[block], log_norm[block] = node_log_probs(logits, labels)
-    return (blank, label), ForwardCache(vis_cache, lm_cache, feats, ctx, tanh, peak, log_norm)
+    return (blank, label), ForwardCache(vis_cache, lm_cache, feats, tanh, peak, log_norm)
 
 
 def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,

@@ -251,14 +251,12 @@ def maxpool2d_backward(
 
 
 @functools.lru_cache(maxsize=8)
-def _gate_affine(hidden_size: int, directions: int | None = None) -> np.ndarray:
-    """Read-only (2, 4, D, H) scale and shift by gate, or (2, 4, H) without
-    ``directions``: 0.5 and 0.5 on the sigmoid rows, 1 and 0 on the
-    candidate's (a (4, 1, 1) column broadcasts 2x slower)."""
-    out = np.repeat([[[0.5], [0.5], [1.0], [0.5]], [[0.5], [0.5], [0.0], [0.5]]],
-                    hidden_size, axis=2)
-    if directions is not None:
-        out = np.repeat(out[:, :, None, :], directions, axis=2)
+def _gate_affine(hidden_size: int, directions: int) -> np.ndarray:
+    """Read-only (2, 4, D, H) scale and shift by gate: 0.5 and 0.5 on the
+    sigmoid rows, 1 and 0 on the candidate's (a (4, 1, 1) column broadcasts
+    2x slower)."""
+    out = np.tile(np.array([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5]])[:, :, None, None],
+                  (directions, hidden_size))
     out.setflags(write=False)
     return out
 
@@ -289,7 +287,7 @@ class ScanWork(NamedTuple):
 def lstm_scan_work(layers) -> ScanWork:
     """The ScanWork of a scan with one LSTM per direction in ``layers``."""
     hs, d = layers[0].hidden_size, len(layers)
-    row_scale = _gate_affine(hs)[0].reshape(-1, 1)
+    row_scale = _gate_affine(hs, 1)[0].reshape(-1, 1)
     zh = np.empty((d, 4 * hs))
     return ScanWork(tuple(p.w_h * row_scale for p in layers), zh,
                     zh.reshape(d, 4, hs).swapaxes(0, 1), *_gate_affine(hs, d))
@@ -319,13 +317,13 @@ def lstm_step_cached(zx, h_prev, c_prev, work: ScanWork, gates, c, tanh_c, h) ->
 
 def lstm_step(x: np.ndarray, state: np.ndarray, params: LstmParams):
     """One step on a single input vector, the decode-time form of a
-    one-direction scan step, without the direction axis. ``state`` is the
+    one-direction scan step, which it runs on D = 1 shapes. ``state`` is the
     layer's (2, H) carry, rows h and c (zeros at the start). Returns (h,
-    new_state), both views of the step's own scratch rows; the caller's
-    ``state`` is never mutated."""
+    new_state), (H,) and (2, H) views of the step's own scratch rows; the
+    caller's ``state`` is never mutated."""
     hs = params.hidden_size
-    scale, shift = _gate_affine(hs)
-    zx, zh, gates, rows = np.empty((4, 4, hs))  # the last holds tanh(c), h and c
+    scale, shift = _gate_affine(hs, 1)
+    zx, zh, gates, rows = np.empty((4, 4, 1, hs))  # the last holds tanh(c), h and c
     flat = zx.reshape(-1)
     np.dot(params.w_x, x, out=flat)
     flat += params.b
@@ -333,8 +331,8 @@ def lstm_step(x: np.ndarray, state: np.ndarray, params: LstmParams):
     zx *= scale
     zh *= scale
     # a plain tuple unpacks like a ScanWork and is cheaper to build
-    lstm_step_cached(zx, (), state[1], ((), (), zh, scale, shift), gates, rows[2], rows[0], rows[1])
-    return rows[1], rows[1:3]
+    lstm_step_cached(zx, (), state[1:], ((), (), zh, scale, shift), gates, rows[2], rows[0], rows[1])
+    return rows[1, 0], rows[1:3, 0]
 
 
 def lstm_backward_factors(gates: np.ndarray, tanh_c: np.ndarray, c_prev: np.ndarray):

@@ -257,10 +257,31 @@ def scalar_alpha_beta(lat, labels):
     return alpha, beta, float(alpha[-1, -1] + blank[-1, -1])
 
 
+def _diagonal_transitions(blank, label):
+    """The (T, U+1) blank and (T, U) label transition tables skewed into
+    diagonal-major form, shapes (T+U, U+1) and (T+U, U): row n, column u holds
+    the transitions leaving node (n-u, u), and -inf where that node is off the
+    lattice."""
+    t_total, rows = blank.shape
+    padded = np.full((t_total + 2 * rows - 2, 2 * rows - 1), -np.inf)
+    padded[rows - 1 : rows - 1 + t_total] = np.concatenate((blank, label), axis=1)
+    u = np.concatenate([np.arange(rows), np.arange(rows - 1)])
+    n = np.arange(t_total + rows - 1)[:, None]
+    skew = padded[rows - 1 + n - u, np.arange(2 * rows - 1)]
+    return skew[:, :rows], skew[:, rows:]
+
+
+def _unskewed(skew, t_total):
+    """The (T, U+1) table back from its diagonal-major form."""
+    u = np.arange(skew.shape[1])
+    return skew[np.arange(t_total)[:, None] + u, u]
+
+
 def two_loop_alpha_beta(blank, label):
     """alpha and beta as two wavefront loops, one after the other, each over
-    its own (U+1)-wide diagonals: the form the one loop replaced."""
-    skew_blank, skew_label = lt._diagonal_transitions(blank, label)
+    its own (U+1)-wide diagonals gathered into skewed copies of the tables:
+    the form the one loop over views of its own buffers replaced."""
+    skew_blank, skew_label = _diagonal_transitions(blank, label)
 
     def wavefront(start, blank, label):
         rows = blank.shape[1]
@@ -276,13 +297,16 @@ def two_loop_alpha_beta(blank, label):
     alpha = wavefront(0.0, skew_blank[:-1], skew_label[:-1])
     beta = wavefront(skew_blank[-1, -1], skew_blank[-2::-1, ::-1],
                      skew_label[-2::-1, ::-1])[::-1, ::-1]
-    return (lt._unskewed(alpha, len(blank)), lt._unskewed(beta, len(blank)),
+    return (_unskewed(alpha, len(blank)), _unskewed(beta, len(blank)),
             float(alpha[-1, -1] + skew_blank[-1, -1]))
 
 
 @pytest.mark.parametrize("t,u,k", [(1, 0, 3), (4, 0, 2), (2, 1, 1), (1, 3, 4), (3, 7, 5),
-                                   (6, 4, 1), (11, 5, 12), (145, 60, 80)])
+                                   (6, 4, 1), (11, 5, 12), (145, 60, 80),
+                                   (1, 31, 6), (41, 0, 3), (2, 30, 4)])
 def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
+    """Including the margins' extremes: one frame under many labels, many
+    frames with none, and two frames under many labels."""
     rng = np.random.default_rng(1000 * t + u)
     lat = oracles.random_lattice(rng, t, u, k)
     labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
@@ -295,6 +319,19 @@ def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
     assert np.array_equal(tables.alpha, two_loops[0])
     assert np.array_equal(tables.beta, two_loops[1])
     assert tables.log_prob == two_loops[2]
+
+
+def test_alphabeta_reads_its_tables_only_and_returns_tables_of_its_own():
+    rng = np.random.default_rng(83)
+    lat = oracles.random_lattice(rng, 9, 4, 5)
+    blank, label = transitions(lat, (2, 5, 1, 1))
+    kept = blank.copy(), label.copy()
+    first, second = lt.rnnt_alphabeta(blank, label), lt.rnnt_alphabeta(blank, label)
+    assert np.array_equal(blank, kept[0]) and np.array_equal(label, kept[1])
+    assert first.blank is blank and first.label is label
+    assert not np.shares_memory(first.alpha, first.beta)
+    for mine in (first.alpha, first.beta):
+        assert not any(np.shares_memory(mine, theirs) for theirs in (second.alpha, second.beta))
 
 
 # --- gradients -----------------------------------------------------------------------------

@@ -386,11 +386,11 @@ def test_forward_lattice_shape_and_normalization():
     assert blank.shape == (3, 3) and label.shape == (3, 2)
     # the cache keeps (T, U+1) normalizers and the joint's (T, U+1, E) tanh, and no
     # (T, U+1, K+1) array
-    assert set(vars(cache)) == {"visual", "linguistic", "feats", "ctx", "joint_tanh", "peak",
-                                "log_norm"}
+    assert set(vars(cache)) == {"visual", "linguistic", "feats", "joint_tanh", "peak", "log_norm"}
     assert cache.joint_tanh.shape == (3, 3, cfg.encoded_size)
-    assert np.array_equal(cache.joint_tanh, md._joint_block(cache.feats, cache.ctx, params)[0])
-    logits = md._joint_block(cache.feats, cache.ctx, params)[1]
+    ctx = md.linguistic_encode_cached((1, 2), params, cfg)[0]
+    assert np.array_equal(cache.joint_tanh, md._joint_block(cache.feats, ctx, params)[0])
+    logits = md._joint_block(cache.feats, ctx, params)[1]
     log_probs = logits - cache.peak[..., None] - cache.log_norm[..., None]
     mass = np.log(np.sum(np.exp(log_probs), axis=-1))
     assert np.max(np.abs(mass)) < 1e-12
@@ -554,7 +554,8 @@ def assert_fused_loss_is_the_dense_chain(image, labels, params, cfg):
     assert np.all(dense[~used] == 0.0)
 
     d_logits = dense_logit_grad(lattice, grad_tables, labels)
-    loss, fused = loss_and_logit_grad(md._joint_block(cache.feats, cache.ctx, params)[1], labels)
+    ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
+    loss, fused = loss_and_logit_grad(md._joint_block(cache.feats, ctx, params)[1], labels)
     assert loss == -ref_tables.log_prob and np.array_equal(fused, d_logits)
 
     grads = md.backward_pass(grad_tables, cache, params, cfg, md.zero_grads_shell(params))
@@ -724,9 +725,10 @@ def _backward_pass_recomputing_the_tanh(grad_tables, cache, params, cfg, grads):
     classes, enc = params.joint_w.shape
     grad_blank, grad_label = grad_tables
     labels = np.array(cache.linguistic.ids[1:], dtype=np.intp)
+    ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
     grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
     for block in md._frame_blocks(t_total, rows * classes):
-        v, logits = md._joint_block(cache.feats[block], cache.ctx, params)
+        v, logits = md._joint_block(cache.feats[block], ctx, params)
         d_logits = logit_grad(logits, cache.peak[block], cache.log_norm[block],
                               grad_blank[block], grad_label[block], labels).reshape(-1, classes)
         v = v.reshape(-1, enc)
