@@ -19,9 +19,10 @@ Both recurrences run in one anti-diagonal wavefront loop (Graves 2012, arXiv
 1211.3711): the nodes with t+u = n depend only on diagonal n-1, so each
 diagonal is one vector step, and beta is alpha's recurrence, stepped beside
 it, from the far corner over the transition tables reversed in both axes.
-The loop copies no skewed tables: in a row-major buffer whose rows off the
-lattice hold -inf, every anti-diagonal is one strided view, so the loop
-writes straight into the array that alpha and beta are sliced from.
+The loop copies no skewed tables: its buffers are diagonal-major, every
+anti-diagonal one contiguous row with -inf off the lattice, and the
+row-major tables are views of them, so the loop writes straight into the
+array that alpha and beta are read from.
 Every node runs the scalar recurrence's adds and logaddexp in the same
 operand order, and logaddexp(x, -inf) is exactly x, so the results are
 bitwise equal to the node-by-node recurrence.
@@ -123,20 +124,20 @@ def node_log_probs(logits: np.ndarray, labels: np.ndarray):
     return blank, label, peak, log_norm
 
 
-def _diagonals(buf: np.ndarray, first: int, count: int, width: int) -> np.ndarray:
-    """The (count, width) view of a row-major 2-D ``buf`` whose row n is the
-    anti-diagonal from (first + n, 0) up to the right: buf[first + n - c, c]."""
+def _nodes(buf: np.ndarray, row: int, col: int, shape) -> np.ndarray:
+    """The ``shape`` view of a diagonal-major 2-D ``buf`` whose node (t, u) is
+    buf[row + t + u, col + u]."""
     s0, s1 = buf.strides
-    return np.ndarray((count, width), buf.dtype, buf, first * s0, (s0, s1 - s0))
+    return np.ndarray(shape, buf.dtype, buf, row * s0 + col * s1, (s0, s0 + s1))
 
 
 def _wavefront(table: np.ndarray, blank: np.ndarray, label: np.ndarray) -> None:
     """Fills table[1:] from table[0], per diagonal n: table[n] =
     logaddexp(table[n-1] + blank[n-1], table[n-1, :-1] + label[n-1] shifted one
-    column right). Over _diagonals views of the row-major tables this is
-    alpha; over the tables reversed in both axes it is beta, reversed
-    likewise. Both run in one loop side by side, with a -inf label column
-    between them."""
+    column right). On diagonal-major tables, row n holding the nodes with
+    t+u = n, this is alpha; on the tables reversed in both axes it is beta,
+    reversed likewise. Both run in one loop side by side, with a -inf label
+    column between them."""
     stay, move = np.empty(table.shape[1]), np.full(table.shape[1], NEG_INF)
     for n in range(1, len(table)):  # move[0]: nothing enters column 0
         np.add(table[n - 1], blank[n - 1], out=stay)
@@ -157,29 +158,25 @@ def rnnt_alphabeta(blank: np.ndarray, label: np.ndarray) -> AlphaBetaTables:
       beta[T-1, U] = blank(T-1, U),
       beta[t, u] = LSE(beta[t+1, u] + blank(t, u), beta[t, u+1] + label(t, u)).
 
-    The wavefront runs over the _diagonals from row 2(U+1) of three
-    (T + 3(U+1), 2(U+1)) -inf buffers, the table, blank and label. Alpha and
-    its operands sit on the left from that row; beta and its operands,
-    reversed in both axes, on the right U+1 rows higher, where those
-    diagonals meet them, and the reversed blank one row higher still, since
-    beta's blank operand at a node is the blank that enters it.
+    The wavefront runs over three (T+U+1, 2(U+1)) -inf buffers, the table,
+    blank and label, whose row 1 + n is anti-diagonal n (_nodes views). Alpha
+    and its operands sit in columns [0, U]; beta and its operands, reversed
+    in both axes, in columns [U+1, 2U+1], the reversed blank one row higher,
+    since beta's blank operand at a node is the blank that enters it.
     """
     if blank.ndim != 2 or len(blank) < 1 or label.shape != (len(blank), blank.shape[1] - 1):
         raise UsageError(f"transition tables of shapes {blank.shape} and {label.shape} "
                          "are not (T, U+1) and (T, U) with T >= 1")
     t_total, rows = blank.shape
-    top, count = 2 * rows, t_total + rows - 1  # alpha's first row; the diagonals
-    table, blanks, labels = np.full((3, t_total + 3 * rows, 2 * rows), NEG_INF)
-    ahead, back = np.s_[top : top + t_total], np.s_[top - rows : top - rows + t_total]
-    blanks[ahead, :rows], labels[ahead, : rows - 1] = blank, label
-    blanks[top - rows - 1 : top - rows - 1 + t_total, rows:] = blank[::-1, ::-1]
-    labels[back, rows:-1] = label[::-1, ::-1]
-    table[top, 0], table[top - rows, rows] = 0.0, blank[-1, -1]
-    _wavefront(_diagonals(table, top, count, 2 * rows),
-               _diagonals(blanks, top, count - 1, 2 * rows),
-               _diagonals(labels, top, count - 1, 2 * rows - 1))
-    alpha = table[ahead, :rows]
-    return AlphaBetaTables(alpha=alpha, beta=table[back, rows:][::-1, ::-1],
+    table, blanks, labels = np.full((3, t_total + rows, 2 * rows), NEG_INF)
+    _nodes(blanks, 1, 0, blank.shape)[...] = blank
+    _nodes(labels, 1, 0, label.shape)[...] = label
+    _nodes(blanks, 0, rows, blank.shape)[...] = blank[::-1, ::-1]
+    _nodes(labels, 1, rows, label.shape)[...] = label[::-1, ::-1]
+    table[1, 0], table[1, rows] = 0.0, blank[-1, -1]
+    _wavefront(table[1:], blanks[1:], labels[1:, :-1])
+    alpha, beta = _nodes(table, 1, 0, blank.shape), _nodes(table, 1, rows, blank.shape)
+    return AlphaBetaTables(alpha=alpha, beta=beta[::-1, ::-1],
                            log_prob=float(alpha[-1, -1] + blank[-1, -1]),
                            blank=blank, label=label)
 

@@ -521,7 +521,6 @@ def joint(f: np.ndarray, g_u: np.ndarray, params: ModelParams) -> np.ndarray:
 class ForwardCache:
     visual: VisualCache
     linguistic: LinguisticCache
-    feats: np.ndarray  # (T, encoded)
     joint_tanh: np.ndarray | None  # (T, U+1, encoded): tanh(f + g + b); backward_pass takes it
     peak: np.ndarray  # (T, U+1): each node's max logit
     log_norm: np.ndarray  # (T, U+1): each node's log sum exp(logit - peak)
@@ -564,7 +563,7 @@ def forward_lattice(image, labels, params: ModelParams, config: ModelConfig):
     for block in _frame_blocks(t_total, rows * classes):
         logits = _joint_block(feats[block], ctx, params, out=tanh[block])[1]
         blank[block], label[block], peak[block], log_norm[block] = node_log_probs(logits, labels)
-    return (blank, label), ForwardCache(vis_cache, lm_cache, feats, tanh, peak, log_norm)
+    return (blank, label), ForwardCache(vis_cache, lm_cache, tanh, peak, log_norm)
 
 
 def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
@@ -585,11 +584,12 @@ def backward_pass(grad_tables, cache: ForwardCache, params: ModelParams,
         raise UsageError(f"gradient tables of shapes {shapes} do not match the cached "
                          f"{t_total} frames and {rows - 1} labels")
     classes, enc = params.joint_w.shape
-    if cache.feats.shape[1] != enc:
-        raise UsageError("cache does not belong to these parameters")
-    joint_tanh, cache.joint_tanh = cache.joint_tanh, None
+    joint_tanh = cache.joint_tanh
     if joint_tanh is None:
         raise UsageError("backward_pass has already consumed this forward cache")
+    if joint_tanh.shape[2] != enc:
+        raise UsageError("cache does not belong to these parameters")
+    cache.joint_tanh = None
     grad_blank, grad_label = grad_tables
     labels = np.array(cache.linguistic.ids[1:], dtype=np.intp)
     grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))

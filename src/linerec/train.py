@@ -106,7 +106,7 @@ def init_opt_state(params: ModelParams) -> OptState:
 
 
 def adam_step(params: ModelParams, grads: ModelParams, opt: OptState, lr: float,
-              clip_norm: float = 5.0):
+              clip_norm: float = TrainConfig.grad_clip_norm):
     """One optimizer update, in place; returns (params, opt) for chaining.
 
     Gradients are first clipped to the given global norm (0 disables), then

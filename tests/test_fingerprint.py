@@ -38,9 +38,11 @@ def test_the_blas_thread_count_is_the_one_requested():
 
 
 def test_decoding_does_not_depend_on_the_blas_thread_count():
-    """Two 1160 px lines' features and hypotheses are bitwise the same at one
-    and at two BLAS threads: no reduction on the decoding path is split by them."""
-    code = "import fingerprint; print(*fingerprint.decoding((1160,), 0))"
+    """Two 1160 px lines' features and hypotheses, and six lattices' losses,
+    gradients and alpha/beta tables, are bitwise the same at one and at two
+    BLAS threads: no reduction on the decoding path or in the lattice is
+    split by them."""
+    code = "import fingerprint; print(*fingerprint.decoding((1160,), 0), fingerprint.lattices(6))"
     path = os.pathsep.join([str(Path(fingerprint.__file__).parent),
                             str(Path(linerec.__file__).parents[1]),
                             os.environ.get("PYTHONPATH", "")])
@@ -49,4 +51,4 @@ def test_decoding_does_not_depend_on_the_blas_thread_count():
                                                "OPENBLAS_NUM_THREADS": threads,
                                                "OMP_NUM_THREADS": threads}).stdout
                for threads in ("1", "2")]
-    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 2
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 3

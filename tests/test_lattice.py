@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,10 +304,12 @@ def two_loop_alpha_beta(blank, label):
 
 @pytest.mark.parametrize("t,u,k", [(1, 0, 3), (4, 0, 2), (2, 1, 1), (1, 3, 4), (3, 7, 5),
                                    (6, 4, 1), (11, 5, 12), (145, 60, 80),
-                                   (1, 31, 6), (41, 0, 3), (2, 30, 4)])
+                                   (1, 31, 6), (41, 0, 3), (2, 30, 4)]
+                         + [(t, u, 5) for t in range(1, 6) for u in range(6)])
 def test_wavefront_is_bitwise_equal_to_scalar_recurrence(t, u, k):
-    """Including the margins' extremes: one frame under many labels, many
-    frames with none, and two frames under many labels."""
+    """Including the lattice's extremes: one frame under many labels, many
+    frames with none, two frames under many labels, and every small (T, U),
+    so that each of the diagonal-major buffers' row offsets meets every edge."""
     rng = np.random.default_rng(1000 * t + u)
     lat = oracles.random_lattice(rng, t, u, k)
     labels = tuple(int(x) for x in rng.integers(1, k + 1, size=u))
@@ -332,6 +335,22 @@ def test_alphabeta_reads_its_tables_only_and_returns_tables_of_its_own():
     assert not np.shares_memory(first.alpha, first.beta)
     for mine in (first.alpha, first.beta):
         assert not any(np.shares_memory(mine, theirs) for theirs in (second.alpha, second.beta))
+
+
+@pytest.mark.parametrize("t,u", [(145, 60), (1, 31)])
+def test_alphabeta_allocates_its_three_buffers_and_little_more(t, u):
+    """Its (T+U+1, 2(U+1)) table, blank and label: no skewed or stacked copies."""
+    rng = np.random.default_rng(t + u)
+    blank, label = transitions(oracles.random_lattice(rng, t, u, 6),
+                               tuple(int(x) for x in rng.integers(1, 7, size=u)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lt.rnnt_alphabeta(blank, label)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (t + u + 1) * 2 * (u + 1) * 8 + 8192
 
 
 # --- gradients -----------------------------------------------------------------------------

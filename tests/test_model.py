@@ -386,11 +386,12 @@ def test_forward_lattice_shape_and_normalization():
     assert blank.shape == (3, 3) and label.shape == (3, 2)
     # the cache keeps (T, U+1) normalizers and the joint's (T, U+1, E) tanh, and no
     # (T, U+1, K+1) array
-    assert set(vars(cache)) == {"visual", "linguistic", "feats", "joint_tanh", "peak", "log_norm"}
+    assert set(vars(cache)) == {"visual", "linguistic", "joint_tanh", "peak", "log_norm"}
     assert cache.joint_tanh.shape == (3, 3, cfg.encoded_size)
+    feats = md.visual_encode_cached(image, params, cfg)[0]
     ctx = md.linguistic_encode_cached((1, 2), params, cfg)[0]
-    assert np.array_equal(cache.joint_tanh, md._joint_block(cache.feats, ctx, params)[0])
-    logits = md._joint_block(cache.feats, ctx, params)[1]
+    assert np.array_equal(cache.joint_tanh, md._joint_block(feats, ctx, params)[0])
+    logits = md._joint_block(feats, ctx, params)[1]
     log_probs = logits - cache.peak[..., None] - cache.log_norm[..., None]
     mass = np.log(np.sum(np.exp(log_probs), axis=-1))
     assert np.max(np.abs(mass)) < 1e-12
@@ -554,8 +555,9 @@ def assert_fused_loss_is_the_dense_chain(image, labels, params, cfg):
     assert np.all(dense[~used] == 0.0)
 
     d_logits = dense_logit_grad(lattice, grad_tables, labels)
+    feats = md.visual_encode_cached(image, params, cfg)[0]
     ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
-    loss, fused = loss_and_logit_grad(md._joint_block(cache.feats, ctx, params)[1], labels)
+    loss, fused = loss_and_logit_grad(md._joint_block(feats, ctx, params)[1], labels)
     assert loss == -ref_tables.log_prob and np.array_equal(fused, d_logits)
 
     grads = md.backward_pass(grad_tables, cache, params, cfg, md.zero_grads_shell(params))
@@ -718,9 +720,22 @@ def test_a_forward_cache_serves_one_backward_pass():
     assert np.array_equal(grads.flat, before)
 
 
-def _backward_pass_recomputing_the_tanh(grad_tables, cache, params, cfg, grads):
+def test_a_forward_cache_is_kept_when_the_parameters_do_not_fit_it():
+    cfg, wide = tiny_model_config(), tiny_model_config(encoded_size=5)
+    params, other = md.init_params(cfg, seed=18), md.init_params(wide, seed=18)
+    (blank, label), cache = md.forward_lattice(np.random.default_rng(19).random((4, 6)),
+                                               (1, 2), params, cfg)
+    tables = rnnt_grad(rnnt_alphabeta(blank, label))
+    with pytest.raises(UsageError, match="^cache does not belong to these parameters$"):
+        md.backward_pass(tables, cache, other, wide, md.zero_grads_shell(other))
+    assert cache.joint_tanh is not None
+    md.backward_pass(tables, cache, params, cfg, md.zero_grads_shell(params))
+
+
+def _backward_pass_recomputing_the_tanh(grad_tables, feats, cache, params, cfg, grads):
     """backward_pass as it was before the forward kept the joint's tanh: each
-    block's tanh(f + g + b) and logits recomputed by _joint_block."""
+    block's tanh(f + g + b) and logits recomputed by _joint_block from the
+    features ``feats``."""
     t_total, rows = cache.peak.shape
     classes, enc = params.joint_w.shape
     grad_blank, grad_label = grad_tables
@@ -728,7 +743,7 @@ def _backward_pass_recomputing_the_tanh(grad_tables, cache, params, cfg, grads):
     ctx = md.linguistic_encode_cached(labels, params, cfg)[0]
     grad_feats, grad_ctx = np.empty((t_total, enc)), np.zeros((rows, enc))
     for block in md._frame_blocks(t_total, rows * classes):
-        v, logits = md._joint_block(cache.feats[block], ctx, params)
+        v, logits = md._joint_block(feats[block], ctx, params)
         d_logits = logit_grad(logits, cache.peak[block], cache.log_norm[block],
                               grad_blank[block], grad_label[block], labels).reshape(-1, classes)
         v = v.reshape(-1, enc)
@@ -755,7 +770,8 @@ def test_backward_from_the_kept_tanh_is_bitwise_the_recomputed_one(k, width, gly
     labels = tuple(int(x) for x in rng.integers(1, k + 1, size=glyphs))
     (blank, label), cache = md.forward_lattice(image, labels, params, cfg)
     grad_tables = rnnt_grad(rnnt_alphabeta(blank, label))
-    reference = _backward_pass_recomputing_the_tanh(grad_tables, cache, params, cfg,
+    feats = md.visual_encode_cached(image, params, cfg)[0]
+    reference = _backward_pass_recomputing_the_tanh(grad_tables, feats, cache, params, cfg,
                                                     md.zero_grads_shell(params))
     grads = md.backward_pass(grad_tables, cache, params, cfg, md.zero_grads_shell(params))
     assert np.array_equal(grads.flat, reference.flat)
